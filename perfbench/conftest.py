@@ -1,0 +1,7 @@
+"""Put the benchmark's modules and the program under src/ on the import path."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE), str(HERE.parent / "src")]
