@@ -240,8 +240,12 @@ def cmd_erfmin(args: argparse.Namespace) -> int:
 
 
 def _certify_points(args: argparse.Namespace, grid: list[float]) -> list[BoundPoint]:
+    if args.threads > 1:
+        # optimize_grid splits a grid over processes only when a warm-start
+        # table covers every node, and certify passes none.
+        print(f"note: certify runs sequentially; --threads {args.threads} is ignored", file=sys.stderr)
     if args.params is None:
-        return optimize_grid(grid, threads=args.threads)
+        return optimize_grid(grid)
     as_ = _read_param_file(args.params[0])
     bs = _read_param_file(args.params[1])
     table = ParameterTable(tuple(grid), tuple(as_), tuple(bs))

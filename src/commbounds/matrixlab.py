@@ -1,28 +1,25 @@
 """Finite-dimensional verification engine for commutator inequalities.
 
-Everything runs on small dense complex matrices.  The eigensolver is a
-cyclic Jacobi iteration for Hermitian matrices (a phase rotation turns
-each 2x2 pivot real, then a classic symmetric rotation annihilates it);
-singular values come from the eigenvalues of X*X; matrix functions and
-unitary exponentials are evaluated spectrally.  On top of that sit the
-unitarily-invariant norm family, checkers for each matrix inequality of
-the program, the fixed counterexample report, and a seeded Monte-Carlo
-campaign that hunts for conjecture violations over random instances.
-
-numpy.linalg is deliberately not used here; the test suite uses it as an
-independent oracle.
+Everything runs on small dense complex matrices.  Eigendecompositions
+and singular values come from LAPACK through numpy.linalg (eigh, svd);
+matrix functions and unitary exponentials are evaluated spectrally.  On
+top of that sit the unitarily-invariant norm family, checkers for each
+matrix inequality of the program, the fixed counterexample report, and
+a seeded Monte-Carlo campaign that hunts for conjecture violations over
+random instances, evaluating the trials of each size as one stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
-from commbounds.approx import DomainViolation, f1
+from commbounds.approx import DomainViolation
 
 __all__ = [
     "BadParameter",
@@ -91,6 +88,17 @@ def _frobenius(a: np.ndarray) -> float:
     return float(np.sqrt((np.abs(a) ** 2).sum()))
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(m, -1, -2))
+
+
+def _spectral_apply(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V diag(values) V*, symmetrized to kill roundoff skew; works on stacks."""
+    out = (vectors * values[..., None, :]) @ _adjoint(vectors)
+    return 0.5 * (out + _adjoint(out))
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianSpectral:
     """Eigendecomposition A = V diag(eigenvalues) V* with ascending eigenvalues."""
@@ -103,86 +111,26 @@ class HermitianSpectral:
 
     def apply(self, f: Callable[[float], float]) -> np.ndarray:
         """V f(diag) V*, symmetrized to kill roundoff skew."""
-        values = np.array([f(float(x)) for x in self.eigenvalues])
-        out = (self.vectors * values) @ self.vectors.conj().T
-        return 0.5 * (out + out.conj().T)
+        return _spectral_apply(np.array([f(float(x)) for x in self.eigenvalues]), self.vectors)
 
 
 def hermitian_eig(A) -> HermitianSpectral:
-    """Cyclic Jacobi eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
-    Each pivot (p, q) is first made real by the phase rotation
-    diag(1, e^{-i phi}) with phi = arg(A[p, q]), then annihilated by the
-    classic symmetric Jacobi rotation with t = sign(tau)/(|tau| +
-    sqrt(1 + tau^2)), tau = (A[q,q] - A[p,p])/(2 |A[p,q]|).  Sweeps stop
-    when the off-diagonal Frobenius mass drops below 1e-13 ||A||_F.
+    The input must be Hermitian within 1e-12 relative Frobenius
+    tolerance; its Hermitian part is decomposed, so roundoff skew in the
+    input does not reach the eigenvalues.
     """
-    h = _as_square(A).copy()
-    n = h.shape[0]
-    fro = _frobenius(h)
-    if _frobenius(h - h.conj().T) > 1e-12 * fro:
+    h = _as_square(A)
+    if _frobenius(h - h.conj().T) > 1e-12 * _frobenius(h):
         raise NotHermitian("matrix is not Hermitian within 1e-12 relative tolerance")
-    h = 0.5 * (h + h.conj().T)
-    v = np.eye(n, dtype=np.complex128)
-    threshold = 1e-13 * fro
-    for _ in range(100):
-        # Summing |h[i, j]|^2 over i != j directly; subtracting the
-        # diagonal mass from the total would cancel catastrophically.
-        off2 = np.abs(h) ** 2
-        np.fill_diagonal(off2, 0.0)
-        if math.sqrt(float(off2.sum())) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = complex(h[p, q])
-                ag = abs(g)
-                if ag == 0.0:
-                    continue
-                alpha = float(h[p, p].real)
-                beta = float(h[q, q].real)
-                tau = (beta - alpha) / (2.0 * ag)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                e = g.conjugate() / ag
-                # Columns, then rows (H <- U* H U with U the plane rotation).
-                col_p = h[:, p].copy()
-                col_q = h[:, q].copy()
-                h[:, p] = c * col_p - s * e * col_q
-                h[:, q] = s * col_p + c * e * col_q
-                row_p = h[p, :].copy()
-                row_q = h[q, :].copy()
-                h[p, :] = c * row_p - s * np.conj(e) * row_q
-                h[q, :] = s * row_p + c * np.conj(e) * row_q
-                h[p, p] = alpha - t * ag
-                h[q, q] = beta + t * ag
-                h[p, q] = 0.0
-                h[q, p] = 0.0
-                vec_p = v[:, p].copy()
-                vec_q = v[:, q].copy()
-                v[:, p] = c * vec_p - s * e * vec_q
-                v[:, q] = s * vec_p + c * e * vec_q
-    else:
-        raise RuntimeError("Jacobi iteration failed to converge in 100 sweeps")
-    eigenvalues = np.real(np.diagonal(h)).copy()
-    order = np.argsort(eigenvalues, kind="stable")
-    return HermitianSpectral(eigenvalues[order], v[:, order])
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
+    return HermitianSpectral(eigenvalues, vectors)
 
 
 def singular_values(X) -> np.ndarray:
-    """Singular values of X in descending order, min(rows, cols) of them.
-
-    Computed as square roots of the spectrum of the smaller Gram matrix
-    (X*X or XX*), with tiny negative eigenvalues clamped to zero.
-    """
-    x = _as_matrix(X)
-    if x.shape[0] <= x.shape[1]:
-        gram = x @ x.conj().T
-    else:
-        gram = x.conj().T @ x
-    spec = hermitian_eig(gram)
-    values = np.sqrt(np.clip(spec.eigenvalues, 0.0, None))
-    return values[::-1].copy()
+    """Singular values of X in descending order, min(rows, cols) of them."""
+    return np.linalg.svd(_as_matrix(X), compute_uv=False)
 
 
 @dataclass(frozen=True)
@@ -240,33 +188,34 @@ class NormKind:
         return self.tag
 
 
-def _norm_from_singulars(values: np.ndarray, kind: NormKind) -> float:
+def _norm_from_singulars(values: np.ndarray, kind: NormKind) -> np.ndarray:
+    """The norm from descending singular values along the last axis."""
     if kind.tag == "operator":
-        return float(values[0])
+        return values[..., 0]
     if kind.tag == "kyfan":
-        if kind.k > len(values):
+        if kind.k > values.shape[-1]:
             raise BadParameter(
-                f"Ky Fan k={kind.k} exceeds the number of singular values {len(values)}"
+                f"Ky Fan k={kind.k} exceeds the number of singular values {values.shape[-1]}"
             )
-        return float(values[: kind.k].sum())
+        return values[..., : kind.k].sum(axis=-1)
     if kind.tag == "schatten":
-        return float((values**kind.p).sum() ** (1.0 / kind.p))
+        return (values**kind.p).sum(axis=-1) ** (1.0 / kind.p)
     if kind.tag == "trace":
-        return float(values.sum())
-    return float(np.sqrt((values**2).sum()))
+        return values.sum(axis=-1)
+    return np.sqrt((values**2).sum(axis=-1))
 
 
 def ui_norm(X, kind: NormKind) -> float:
     """Unitarily-invariant norm of X computed from its singular values."""
-    return _norm_from_singulars(singular_values(X), kind)
+    return float(_norm_from_singulars(singular_values(X), kind))
 
 
-def _psd_apply(spec: HermitianSpectral, f: Callable[[float], float]) -> np.ndarray:
-    low = float(spec.eigenvalues[0])
+def _psd_apply(eigenvalues: np.ndarray, vectors: np.ndarray, f) -> np.ndarray:
+    """f of one PSD spectrum or a stack of them; f maps an array of eigenvalues."""
+    low = float(eigenvalues[..., 0].min(initial=0.0))
     if low < -1e-10:
         raise DomainViolation(f"matrix has negative eigenvalue {low}, not PSD")
-    clamped = np.clip(spec.eigenvalues, 0.0, None)
-    return HermitianSpectral(clamped, spec.vectors).apply(f)
+    return _spectral_apply(f(np.clip(eigenvalues, 0.0, None)), vectors)
 
 
 def matrix_function(A, f: Callable[[float], float]) -> np.ndarray:
@@ -276,7 +225,8 @@ def matrix_function(A, f: Callable[[float], float]) -> np.ndarray:
     anything more negative is a genuine domain violation for f on
     [0, inf).
     """
-    return _psd_apply(hermitian_eig(A), f)
+    spec = hermitian_eig(A)
+    return _psd_apply(spec.eigenvalues, spec.vectors, np.vectorize(f, otypes=[float]))
 
 
 def unitary_exp(X) -> np.ndarray:
@@ -415,9 +365,9 @@ def verify_jensen(Y, f: Callable[[float], float], kind: NormKind) -> tuple[float
     y = _as_square(Y, "Y")
     values = singular_values(y)
     f_values = np.array(sorted((f(float(s)) for s in values), reverse=True))
-    lhs = _norm_from_singulars(f_values, kind)
-    eye_norm = _norm_from_singulars(np.ones(y.shape[0]), kind)
-    rhs = eye_norm * f(_norm_from_singulars(values, kind) / eye_norm)
+    lhs = float(_norm_from_singulars(f_values, kind))
+    eye_norm = float(_norm_from_singulars(np.ones(y.shape[0]), kind))
+    rhs = eye_norm * f(float(_norm_from_singulars(values, kind)) / eye_norm)
     if lhs > rhs + 1e-9:
         raise RuntimeError(f"Jensen bound violated: {lhs} > {rhs}")
     return lhs, rhs
@@ -465,9 +415,15 @@ def counterexample_report() -> dict:
     }
 
 
-_F_TABLE: Mapping[str, Callable[[float], float]] = {
-    "f1": f1,
-    "sqrt": math.sqrt,
+def _f1_array(x: np.ndarray) -> np.ndarray:
+    """f1(x) = x/(x + 1) elementwise, for x >= 0."""
+    return x / (x + 1.0)
+
+
+# Campaign functions act elementwise on arrays of nonnegative values.
+_F_TABLE: Mapping[str, Callable[[np.ndarray], np.ndarray]] = {
+    "f1": _f1_array,
+    "sqrt": np.sqrt,
 }
 
 
@@ -539,66 +495,108 @@ def _matrix_payload(m: np.ndarray) -> list:
 _SHARD_SIZE = 1000
 
 
-def _wishart(rng: np.random.Generator, n: int) -> np.ndarray:
-    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    return m @ m.conj().T
+def _stack_ratios(cfg: CampaignConfig, a, b, x):
+    """Conjecture ratios of a stack of same-size trials.
+
+    Per trial this is normalizing X and calling verify_conjecture_ratio,
+    except that each spectrum is computed once and reused.  Returns
+    (ratios, evaluated, A, B, X) with A and B as scaled by unit_norm_a
+    and X normalized; trials not evaluated carry ratio 0.
+    """
+    f = _F_TABLE[cfg.f]
+
+    def spectra(m):
+        lam, vec = np.linalg.eigh(0.5 * (m + _adjoint(m)))
+        if cfg.unit_norm_a:
+            top = lam[:, -1:]
+            return m / top[..., None], lam / top, vec
+        return m, lam, vec
+
+    def norms(m):
+        return _norm_from_singulars(np.linalg.svd(m, compute_uv=False), cfg.norm)
+
+    a, lam_a, vec_a = spectra(a)
+    b, lam_b, vec_b = (a, lam_a, vec_a) if cfg.a_equals_b else spectra(b)
+    nx = norms(x)
+    evaluated = nx != 0.0
+    x = x / np.where(evaluated, nx, 1.0)[:, None, None]
+    comm_norm = norms(a @ x - x @ b)
+    if cfg.min_commutator is not None:
+        evaluated &= comm_norm >= cfg.min_commutator
+    fa = _psd_apply(lam_a[evaluated], vec_a[evaluated], f)
+    fb = fa if cfg.a_equals_b else _psd_apply(lam_b[evaluated], vec_b[evaluated], f)
+    xe = x[evaluated]
+    numerator = norms(fa @ xe - xe @ fb)
+    denominator = f(comm_norm[evaluated])
+    # A vanished denominator gives ratio 0 when the numerator vanishes too
+    # (the conjecture is vacuous there); otherwise the trial is skipped.
+    vanished = denominator == 0.0
+    ratios = np.zeros(len(x))
+    ratios[evaluated] = np.divide(numerator, denominator, out=np.zeros_like(numerator), where=~vanished)
+    evaluated[evaluated] = ~vanished | (numerator <= 1e-12)
+    return ratios, evaluated, a, b, x
 
 
 def _campaign_shard(args) -> dict:
-    """One shard of trials; reuses each eigendecomposition across steps.
+    """One shard of trials, drawn in trial order and evaluated by size.
 
-    Equivalent to normalizing X and calling verify_conjecture_ratio, but
-    with the spectra of A and B computed once per trial instead of being
-    rebuilt inside every norm and matrix-function evaluation.
+    The first pass draws, for each trial in turn from
+    default_rng((seed, shard)), the size n and then one standard normal
+    block holding the real and imaginary parts of A's Wishart factor, of
+    B's (only without a_equals_b) and of X.  One block consumes the
+    stream exactly as separate n x n draws would, so every trial's draws
+    do not depend on how trials are evaluated.  The second pass
+    evaluates all trials of one size together (_stack_ratios), with
+    A = M M* and X = (G + iH)/sqrt(2) for the drawn factors.
     """
     cfg, shard_idx, shard_trials = args
     rng = np.random.default_rng((cfg.seed, shard_idx))
-    f = _F_TABLE[cfg.f]
-    ratios = []
-    skipped = 0
-    best = None  # (ratio, trial, A, B, X)
+    parts = 4 if cfg.a_equals_b else 6
+    sizes = np.zeros(shard_trials, dtype=int)
+    draws = []
     for trial in range(shard_trials):
         n = int(rng.integers(2, cfg.n_max + 1))
-        a = _wishart(rng, n)
-        spec_a = hermitian_eig(a)
-        if cfg.unit_norm_a:
-            top = float(spec_a.eigenvalues[-1])
-            a = a / top
-            spec_a = HermitianSpectral(spec_a.eigenvalues / top, spec_a.vectors)
-        if cfg.a_equals_b:
-            b, spec_b = a, spec_a
-        else:
-            b = _wishart(rng, n)
-            spec_b = hermitian_eig(b)
-            if cfg.unit_norm_a:
-                top = float(spec_b.eigenvalues[-1])
-                b = b / top
-                spec_b = HermitianSpectral(spec_b.eigenvalues / top, spec_b.vectors)
-        x = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-        nx = ui_norm(x, cfg.norm)
-        if nx == 0.0:
-            skipped += 1
-            continue
-        x = x / nx
-        comm_norm = ui_norm(a @ x - x @ b, cfg.norm)
-        if cfg.min_commutator is not None and comm_norm < cfg.min_commutator:
-            skipped += 1
-            continue
-        fa = _psd_apply(spec_a, f)
-        fb = fa if cfg.a_equals_b else _psd_apply(spec_b, f)
-        numerator = ui_norm(fa @ x - x @ fb, cfg.norm)
-        denominator = f(comm_norm)
-        if denominator == 0.0:
-            if numerator <= 1e-12:
-                ratios.append(0.0)
-            else:
-                skipped += 1
-            continue
-        ratio = numerator / denominator
-        ratios.append(ratio)
-        if ratio > 0.0 and (best is None or ratio > best[0]):
-            best = (ratio, trial, a, b, x)
-    return {"shard": shard_idx, "ratios": ratios, "skipped": skipped, "best": best}
+        sizes[trial] = n
+        draws.append(rng.standard_normal((parts, n, n)))
+
+    ratios = np.zeros(shard_trials)
+    evaluated = np.zeros(shard_trials, dtype=bool)
+    stacks = {}
+    for n in np.unique(sizes):
+        trials = np.flatnonzero(sizes == n)
+        normals = np.stack([draws[t] for t in trials])
+        factors = (normals[:, 0::2] + 1j * normals[:, 1::2]) / math.sqrt(2.0)
+        a = factors[:, 0] @ _adjoint(factors[:, 0])
+        b = a if cfg.a_equals_b else factors[:, 1] @ _adjoint(factors[:, 1])
+        stack_ratios, stack_evaluated, a, b, x = _stack_ratios(cfg, a, b, factors[:, -1])
+        ratios[trials] = stack_ratios
+        evaluated[trials] = stack_evaluated
+        stacks[n] = (trials, a, b, x)
+
+    # Trials not evaluated carry ratio 0, and argmax takes the first
+    # maximum, so ties resolve to the earliest trial.
+    trial = int(np.argmax(ratios))
+    best = None  # (ratio, trial, A, B, X)
+    if ratios[trial] > 0.0:
+        trials, a, b, x = stacks[sizes[trial]]
+        k = int(np.searchsorted(trials, trial))
+        best = (float(ratios[trial]), trial, a[k], b[k], x[k])
+    return {
+        "shard": shard_idx,
+        "ratios": ratios[evaluated],
+        "skipped": int(shard_trials - evaluated.sum()),
+        "best": best,
+    }
+
+
+@functools.lru_cache(maxsize=16)
+def _histogram_edges(top: float) -> tuple[float, ...]:
+    """The 50-bin edges on [0, top], as np.histogram draws them.
+
+    Nearly every campaign has top = 1.05; callers that keep many reports
+    then share these float objects instead of holding a copy each.
+    """
+    return tuple(float(e) for e in np.histogram_bin_edges(np.array([]), bins=50, range=(0.0, top)))
 
 
 def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
@@ -620,11 +618,9 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
     else:
         results = [_campaign_shard(job) for job in jobs]
 
-    all_ratios: list[float] = []
     skipped = 0
     winner = None  # (ratio, shard, trial, A, B, X)
     for res in results:
-        all_ratios.extend(res["ratios"])
         skipped += res["skipped"]
         best = res["best"]
         if best is not None:
@@ -632,13 +628,10 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
             if winner is None or candidate[0] > winner[0]:
                 winner = candidate
 
-    if all_ratios:
-        max_ratio = max(all_ratios)
-        top = max(1.05, max_ratio * (1.0 + 1e-12))
-        counts, edges = np.histogram(np.array(all_ratios), bins=50, range=(0.0, top))
-    else:
-        max_ratio = 0.0
-        counts, edges = np.histogram(np.array([]), bins=50, range=(0.0, 1.05))
+    all_ratios = np.concatenate([res["ratios"] for res in results])
+    max_ratio = float(all_ratios.max(initial=0.0))
+    top = max(1.05, max_ratio * (1.0 + 1e-12))
+    counts, _ = np.histogram(all_ratios, bins=50, range=(0.0, top))
     argmax = None
     if winner is not None:
         argmax = {
@@ -654,9 +647,9 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
         trials=cfg.trials,
         norm=str(cfg.norm),
         f=cfg.f,
-        max_ratio=float(max_ratio),
+        max_ratio=max_ratio,
         argmax=argmax,
-        histogram={"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]},
-        evaluated=len(all_ratios),
+        histogram={"edges": list(_histogram_edges(top)), "counts": [int(c) for c in counts]},
+        evaluated=int(all_ratios.size),
         skipped=skipped,
     )

@@ -11,7 +11,6 @@ each node takes the lower envelope over the witnesses of
 
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -43,7 +42,6 @@ from commbounds.optimize import build_paper_grid, certify_grid
 from commbounds.stitch import gamma_half_via_Cc, global_constant, sqrt_constant
 
 SPAN = (0.0195, 40.0)
-EVIDENCE_PATH = os.path.join(os.path.dirname(__file__), "..", "campaign_evidence.json")
 
 
 @pytest.fixture(scope="module")
@@ -332,7 +330,7 @@ def test_criterion_6_property_suites():
     )
 
 
-def test_criterion_7_monte_carlo_evidence():
+def test_criterion_7_monte_carlo_evidence(tmp_path):
     cfg = CampaignConfig(
         n_max=6,
         trials=100_000,
@@ -341,7 +339,7 @@ def test_criterion_7_monte_carlo_evidence():
         norm=NormKind.operator(),
     )
     report = monte_carlo_campaign(cfg)
-    with open(EVIDENCE_PATH, "w") as handle:
+    with open(tmp_path / "campaign_evidence.json", "w") as handle:
         json.dump(report.to_dict(), handle, indent=2)
     print(f"criterion 7: observed max_ratio={report.max_ratio!r} over {report.trials} trials")
     assert report.evaluated == 100_000

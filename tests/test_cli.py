@@ -123,6 +123,14 @@ class TestCertifyCommand:
         assert back["global_C"] == first["global_C"]
         assert back["C_k"] == first["C_k"]
 
+    def test_threads_note_says_certify_runs_sequentially(self, capsys, tmp_path):
+        out = str(tmp_path / "cert.json")
+        code, _, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)
+        assert code == 0 and err == ""
+        code, _, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--threads", "2", "--out", out)
+        assert code == 0
+        assert err == "note: certify runs sequentially; --threads 2 is ignored\n"
+
     def test_supplied_params_preserve_node_count(self, capsys, tmp_path):
         out = str(tmp_path / "cert.json")
         assert run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)[0] == 0

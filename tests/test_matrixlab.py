@@ -1,14 +1,20 @@
 """Tests for the finite-dimensional verification engine.
 
-numpy.linalg (and scipy.linalg.expm) serve as independent oracles for
-the hand-rolled Jacobi eigensolver, singular values, and the unitary
-exponential; the inequality checkers are exercised on random instances
-and on the fixed counterexample data.
+The module computes spectra with numpy.linalg, so the oracles for
+eigenvalues, singular values and matrix functions use no eigensolver or
+an independent one: the closed-form 2x2 eigenvalues, mpmath's eighe and
+svd_c at 30 digits, the resolvent identity for f1 (linear solves only),
+and scipy.linalg.expm for the unitary exponential.  The comparisons with
+numpy.linalg stay as consistency checks.  The batched campaign is checked
+trial by trial against a replay of its draws through
+verify_conjecture_ratio.  The inequality checkers are exercised on random
+instances and on the fixed counterexample data.
 """
 
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -21,6 +27,7 @@ from commbounds.matrixlab import (
     NotHermitian,
     SpectralRadiusTooLarge,
     ZeroDenominator,
+    _campaign_shard,
     counterexample_report,
     doubling_embed,
     gen_commutator,
@@ -92,6 +99,10 @@ def fro(a):
     return float(np.sqrt((np.abs(a) ** 2).sum()))
 
 
+def to_mp(a):
+    return mpmath.matrix([[complex(z) for z in row] for row in a])
+
+
 class TestHermitianEig:
     def test_diagonal_real_matrix(self):
         a = np.diag([3.0, -1.0, 2.0])
@@ -123,6 +134,26 @@ class TestHermitianEig:
             mine = hermitian_eig(a).eigenvalues
             ref = np.linalg.eigvalsh(a)
             assert np.max(np.abs(mine - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
+
+    def test_two_by_two_closed_form(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            a, d = rng.uniform(-5.0, 5.0, size=2)
+            b = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** rng.uniform(-6, 1)
+            root = math.sqrt((a - d) ** 2 + 4.0 * abs(b) ** 2)
+            exact = [(a + d - root) / 2.0, (a + d + root) / 2.0]
+            mine = hermitian_eig(np.array([[a, b], [b.conjugate(), d]])).eigenvalues
+            assert np.max(np.abs(mine - exact)) <= 1e-14 * max(1.0, abs(a), abs(d), root)
+
+    def test_matches_mpmath_eighe(self):
+        rng = np.random.default_rng(9)
+        with mpmath.workdps(30):
+            for _ in range(30):
+                n = int(rng.integers(1, 7))
+                a = random_hermitian(rng, n)
+                ref = np.array(sorted(float(e) for e in mpmath.mp.eighe(to_mp(a), eigvals_only=True)))
+                mine = hermitian_eig(a).eigenvalues
+                assert np.max(np.abs(mine - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
     def test_larger_matrix(self):
         rng = np.random.default_rng(3)
@@ -171,6 +202,18 @@ class TestSingularValues:
             ref = np.linalg.svd(x, compute_uv=False)
             assert mine.shape == ref.shape
             assert np.max(np.abs(mine - ref)) <= 1e-9 * max(1.0, ref[0])
+
+    def test_matches_mpmath_svd(self):
+        rng = np.random.default_rng(14)
+        with mpmath.workdps(30):
+            for _ in range(30):
+                n = int(rng.integers(1, 7))
+                k = int(rng.integers(1, 7))
+                x = random_complex(rng, n, k)
+                ref = np.array(sorted((float(s) for s in mpmath.mp.svd_c(to_mp(x), compute_uv=False)), reverse=True))
+                mine = singular_values(x)
+                assert mine.shape == ref.shape
+                assert np.max(np.abs(mine - ref)) <= 1e-13 * max(1.0, ref[0])
 
     def test_descending_order(self):
         rng = np.random.default_rng(12)
@@ -318,6 +361,20 @@ class TestMatrixFunction:
             mapped = np.sort([f1(v) for v in np.linalg.eigvalsh(a).clip(0.0)])
             got = np.sort(np.linalg.eigvalsh(out))
             assert np.max(np.abs(got - mapped)) <= 1e-9
+
+    def test_f1_resolvent_identity(self):
+        # f1(A)X - Xf1(B) = (A+1)^-1 (AX - XB) (B+1)^-1, which needs only linear solves.
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            a = random_psd(rng, n)
+            b = random_psd(rng, n)
+            x = random_complex(rng, n)
+            eye = np.eye(n)
+            left = np.linalg.solve(a + eye, a @ x - x @ b)
+            exact = np.linalg.solve((b + eye).T, left.T).T
+            mine = matrix_function(a, f1) @ x - x @ matrix_function(b, f1)
+            assert fro(mine - exact) <= 1e-13 * max(1.0, fro(a), fro(b)) * fro(x)
 
     def test_commutes_with_argument(self):
         rng = np.random.default_rng(33)
@@ -625,7 +682,88 @@ class TestCounterexampleReport:
         assert comm[2] < expc[2]
 
 
+def replay_shard(cfg, shard, trials):
+    """Per-trial reference for one campaign shard.
+
+    Draws each trial from default_rng((seed, shard)) in the documented
+    order, one n x n block at a time: n, the real and imaginary parts of
+    A's Wishart factor, of B's (without a_equals_b), then of X.  Each
+    trial goes through verify_conjecture_ratio on its own.  Returns the
+    (trial, ratio) pairs of the evaluated trials and the skipped count.
+    """
+    rng = np.random.default_rng((cfg.seed, shard))
+    f = {"f1": f1, "sqrt": math.sqrt}[cfg.f]
+
+    def complex_normal(n):
+        return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
+
+    evaluated, skipped = [], 0
+    for trial in range(trials):
+        n = int(rng.integers(2, cfg.n_max + 1))
+        m = complex_normal(n)
+        a = m @ m.conj().T
+        if cfg.unit_norm_a:
+            a = a / np.linalg.eigvalsh(a)[-1]
+        if cfg.a_equals_b:
+            b = a
+        else:
+            m = complex_normal(n)
+            b = m @ m.conj().T
+            if cfg.unit_norm_a:
+                b = b / np.linalg.eigvalsh(b)[-1]
+        x = complex_normal(n)
+        x = x / ui_norm(x, cfg.norm)
+        if cfg.min_commutator is not None and ui_norm(gen_commutator(a, x, b), cfg.norm) < cfg.min_commutator:
+            skipped += 1
+            continue
+        try:
+            evaluated.append((trial, verify_conjecture_ratio(a, b, x, f, cfg.norm)))
+        except ZeroDenominator:
+            skipped += 1
+    return evaluated, skipped
+
+
+REFERENCE_CONFIGS = [
+    CampaignConfig(n_max=6, trials=1200, seed=17, f=f, norm=kind)
+    for f in ("f1", "sqrt")
+    for kind in (
+        NormKind.operator(),
+        NormKind.ky_fan(2),
+        NormKind.schatten(3.0),
+        NormKind.trace(),
+        NormKind.hilbert_schmidt(),
+    )
+] + [
+    CampaignConfig(
+        n_max=5, trials=1200, seed=17, f="sqrt", a_equals_b=True, unit_norm_a=True, min_commutator=0.25
+    )
+]
+
+
 class TestCampaign:
+    @pytest.mark.parametrize("cfg", REFERENCE_CONFIGS, ids=lambda cfg: f"{cfg.f}-{cfg.norm}-{cfg.a_equals_b}")
+    def test_batched_shards_match_per_trial_reference(self, cfg):
+        report = monte_carlo_campaign(cfg)
+        skipped = 0
+        best = None  # (ratio, shard, trial), earliest wins ties
+        for shard, size in enumerate((1000, cfg.trials - 1000)):
+            evaluated, shard_skipped = replay_shard(cfg, shard, size)
+            result = _campaign_shard((cfg, shard, size))
+            ref = np.array([ratio for _, ratio in evaluated])
+            assert result["ratios"].shape == ref.shape
+            np.testing.assert_allclose(result["ratios"], ref, rtol=1e-12, atol=0.0)
+            assert result["skipped"] == shard_skipped
+            skipped += shard_skipped
+            for trial, ratio in evaluated:
+                if ratio > 0.0 and (best is None or ratio > best[0]):
+                    best = (ratio, shard, trial)
+        assert report.skipped == skipped
+        assert report.evaluated == cfg.trials - skipped
+        assert (report.argmax["shard"], report.argmax["trial"]) == best[1:]
+        assert report.argmax["ratio"] == pytest.approx(best[0], rel=1e-12, abs=0.0)
+        if cfg.min_commutator is not None:
+            assert skipped > 0
+
     def test_config_validation(self):
         with pytest.raises(DomainViolation):
             CampaignConfig(n_max=1)
