@@ -140,7 +140,9 @@ class ErfMinOutcome:
     and local minimum of the residual (x1 is None when the amplitude is
     at least one, both are None in the degenerate case); error_budget is
     the additive safety margin 2 * (1 + a) * root_tol; degenerate flags
-    the sentinel outcome.
+    the sentinel outcome.  spread = osc(j) + error_budget is the part of
+    the numerator that does not depend on c, so value equals
+    (spread + c * a) / f1(c) exactly; it is None in the degenerate case.
     """
 
     value: float
@@ -148,6 +150,7 @@ class ErfMinOutcome:
     x2: float | None
     error_budget: float
     degenerate: bool
+    spread: float | None
 
     @property
     def roots(self) -> tuple[float | None, float] | None:
@@ -358,7 +361,7 @@ def erf_min_bound(
     budget = 2.0 * (1.0 + a) * tol.root_tol
     xs = x_star(params.b)
     if phi(xs, params) >= 0.0:
-        return ErfMinOutcome(DEGENERATE_VALUE, None, None, budget, True)
+        return ErfMinOutcome(DEGENERATE_VALUE, None, None, budget, True, None)
 
     sign_func = lambda x: phi(x, params)  # noqa: E731
 
@@ -375,8 +378,9 @@ def erf_min_bound(
         high = max(0.0, j_limit(params))
         low = j_func(x2, params)
 
-    value = ((high - low) + budget + c * a) / f1(c)
-    return ErfMinOutcome(value, x1, x2, budget, False)
+    spread = (high - low) + budget
+    value = (spread + c * a) / f1(c)
+    return ErfMinOutcome(value, x1, x2, budget, False, spread)
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,11 @@ shrink it on failure, and stop when the step falls below a floor or the
 evaluation budget runs out.  The grid driver chains warm starts from one
 node to the next (the minimizer moves slowly in c), or runs nodes
 independently, optionally in parallel, when an external warm-start table
-supplies every starting point.  Every returned node is re-certified by a
-fresh bound evaluation at the final parameters so the reported constant
-is reproducible bit for bit.
+supplies every starting point.  Only the c * a term of the bound depends
+on c, so one grid search remembers the c-independent spread of every
+(a, b) it has evaluated and scores a repeated poll without root finding.
+Every returned node is re-certified by a fresh bound evaluation at the
+final parameters so the reported constant is reproducible bit for bit.
 
 `certify_grid` is the search-free certifier: every node takes the lower
 envelope of the committed Gaussian-mixture witnesses and the resolvent
@@ -36,6 +38,7 @@ from commbounds.approx import (
     ToleranceConfig,
     certify_mixture,
     erf_min_bound,
+    f1,
     node_value,
 )
 from commbounds.witnesses import load_witnesses
@@ -179,6 +182,7 @@ def _certify_node(
     start: tuple[float, float],
     cfg: PatternSearchConfig,
     tol: ToleranceConfig | None,
+    spreads: dict[tuple[float, float], float | None],
 ) -> BoundPoint:
     """Search from the given start, then re-certify the winning parameters.
 
@@ -186,13 +190,26 @@ def _certify_node(
     (the poll skips non-finite values).  The degenerate sentinel itself
     cannot be used as the penalty: for small c the genuine bound exceeds
     it, which would make the rejected region look like an optimum.
+
+    spreads maps (a, b) to ErfMinOutcome.spread, or to None for a
+    rejected or degenerate pair; it is only valid for one tolerance
+    setting and for positive finite c.  A known pair is scored as
+    (spread + c * a) / f1(c), the same operations erf_min_bound performs,
+    so the search path does not depend on what spreads already holds.
     """
+    scale = f1(c)
 
     def penalized(params: GaussianParams) -> float:
+        key = (params.a, params.b)
+        if key in spreads:
+            spread = spreads[key]
+            return math.inf if spread is None else (spread + c * params.a) / scale
         try:
             outcome = erf_min_bound(c, params, tol)
         except (RootValidationFailed, DomainViolation, NoSignChange):
+            spreads[key] = None
             return math.inf
+        spreads[key] = outcome.spread
         if outcome.degenerate:
             return math.inf
         return outcome.value
@@ -206,7 +223,7 @@ def _certify_node(
 
 
 def _certify_node_star(args) -> BoundPoint:
-    return _certify_node(*args)
+    return _certify_node(*args, {})
 
 
 def optimize_grid(
@@ -223,6 +240,8 @@ def optimize_grid(
     falls back to (0.9, 0.5)).  When the warm-start table covers every
     node the searches are independent and are distributed over a process
     pool for threads > 1; outputs are identical to the sequential run.
+    The sequential run evaluates each (a, b) at most once per call (see
+    _certify_node); the pool memoises within each node only.
     A node whose final certification is rejected or degenerate is
     reported as a degenerate BoundPoint carrying the sentinel constant.
     """
@@ -231,8 +250,8 @@ def optimize_grid(
     grid = [float(c) for c in grid]
     if not grid:
         return []
-    if any(c <= 0.0 for c in grid):
-        raise DomainViolation("grid values must be positive")
+    if not all(math.isfinite(c) and c > 0.0 for c in grid):
+        raise DomainViolation("grid values must be positive and finite")
     if any(u >= v for u, v in zip(grid, grid[1:])):
         raise DomainViolation("grid values must be strictly increasing")
 
@@ -244,12 +263,13 @@ def optimize_grid(
 
     points: list[BoundPoint] = []
     previous = _DEFAULT_START
+    spreads: dict[tuple[float, float], float | None] = {}
     for c in grid:
         if warm_start is not None and c in warm_start:
             start = (warm_start[c].a, warm_start[c].b)
         else:
             start = previous
-        point = _certify_node(c, start, cfg, tol)
+        point = _certify_node(c, start, cfg, tol, spreads)
         points.append(point)
         previous = (point.params.a, point.params.b)
     return points

@@ -262,6 +262,7 @@ class TestErfMinBound:
         assert out.value == DEGENERATE_VALUE
         assert out.degenerate
         assert out.x1 is None and out.x2 is None
+        assert out.spread is None
         assert abs(out.error_budget - 3e-5) < 1e-18
 
     def test_unit_kernel_structure(self):
@@ -279,6 +280,30 @@ class TestErfMinBound:
         osc = max(0.0, j_limit(p)) - j_func(out.x2, p)
         expected = (osc + 4e-5 + 1.0) / 0.5
         assert abs(out.value - expected) < 1e-12
+
+    def test_spread_is_the_c_independent_numerator(self):
+        # The grid search scores a known (a, b) at a new c from spread alone,
+        # so value must follow from spread exactly and spread, rejection and
+        # degeneracy must not depend on c.
+        rng = np.random.default_rng(2024)
+        cs = (0.0195, 0.3, 1.0, 7.5, 40.0)
+        checked = 0
+        for _ in range(60):
+            p = GaussianParams(float(rng.uniform(0.01, 2.0)), float(rng.uniform(0.01, 5.0)))
+            kinds, spreads = set(), set()
+            for c in cs:
+                try:
+                    out = erf_min_bound(c, p)
+                except (RootValidationFailed, DomainViolation, NoSignChange) as exc:
+                    kinds.add(type(exc))
+                    continue
+                kinds.add(out.degenerate)
+                spreads.add(out.spread)
+                if not out.degenerate:
+                    assert out.value == (out.spread + c * p.a) / f1(c)
+            assert len(kinds) == 1 and len(spreads) <= 1
+            checked += kinds == {False}
+        assert checked >= 30
 
     def test_small_amplitude_has_two_roots(self):
         p = GaussianParams(0.6, 1.0)

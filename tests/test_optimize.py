@@ -1,13 +1,17 @@
 """Tests for the pattern search and the grid certification driver."""
 
+import math
+
 import numpy as np
 import pytest
 
+from commbounds import optimize
 from commbounds.approx import (
     DEGENERATE_VALUE,
     DomainViolation,
     GaussianParams,
     MixtureParams,
+    NoSignChange,
     RootValidationFailed,
     certify_mixture,
     erf_min_bound,
@@ -32,6 +36,50 @@ def penalized_bound(c):
             return DEGENERATE_VALUE
 
     return objective
+
+
+def recorded_search(record):
+    """pattern_search that appends every (params, value) it polls to a new list in record."""
+
+    def search(objective, start, cfg=None):
+        seen = []
+        record.append(seen)
+
+        def spy(params):
+            value = objective(params)
+            seen.append((params, value))
+            return value
+
+        return pattern_search(spy, start, cfg)
+
+    return search
+
+
+def reference_grid(grid, warm_start=None):
+    """optimize_grid without the memo: erf_min_bound on every poll.
+
+    Returns the points and, per node, every (params, value) the search polled.
+    """
+    points, polls, previous = [], [], GaussianParams(0.9, 0.5)
+    search = recorded_search(polls)
+    for c in grid:
+        start = warm_start[c] if warm_start is not None and c in warm_start else previous
+
+        def objective(params, c=c):
+            try:
+                out = erf_min_bound(c, params)
+            except (RootValidationFailed, DomainViolation, NoSignChange):
+                return math.inf
+            return math.inf if out.degenerate else out.value
+
+        best = search(objective, start)
+        try:
+            out = erf_min_bound(c, best)
+            points.append(BoundPoint(c, out.value, best, out.degenerate))
+        except (RootValidationFailed, DomainViolation, NoSignChange):
+            points.append(BoundPoint(c, DEGENERATE_VALUE, best, True))
+        previous = best
+    return points, polls
 
 
 class TestConfig:
@@ -160,6 +208,9 @@ class TestOptimizeGrid:
             optimize_grid([1.0, 0.5])
         with pytest.raises(DomainViolation):
             optimize_grid([0.0])
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(DomainViolation):
+                optimize_grid([0.5, bad])
         assert optimize_grid([]) == []
 
     def test_warm_start_idempotent(self):
@@ -192,6 +243,56 @@ class TestOptimizeGrid:
         )
         assert points[0].degenerate
         assert points[0].C_k == DEGENERATE_VALUE
+
+
+class TestOptimizeGridMemo:
+    """One grid search scores a repeated (a, b) from its remembered spread.
+
+    The memoised search must poll the same parameters, see the same values
+    bit for bit and return the same points as a search that runs
+    erf_min_bound on every poll.
+    """
+
+    def memo_grid(self, monkeypatch, grid, warm_start=None):
+        polls, evaluated = [], []
+
+        def counted(c, params, tol=None):
+            evaluated.append((c, params))
+            return erf_min_bound(c, params, tol)
+
+        monkeypatch.setattr(optimize, "pattern_search", recorded_search(polls))
+        monkeypatch.setattr(optimize, "erf_min_bound", counted)
+        points = optimize_grid(grid, warm_start=warm_start)
+        return points, polls, evaluated
+
+    @pytest.mark.parametrize("offset", [0, 37])
+    def test_chained_paper_subgrid_matches_reference(self, monkeypatch, offset):
+        grid = build_paper_grid()[offset::50]
+        assert grid[-1] >= 5.0
+        expected, expected_polls = reference_grid(grid)
+        points, polls, evaluated = self.memo_grid(monkeypatch, grid)
+        assert points == expected
+        assert polls == expected_polls
+        values = [value for seen in polls for _, value in seen]
+        # Rejected pairs are remembered too, and most polls are repeats.
+        assert values.count(math.inf) > 0.05 * len(values)
+        searched = len(evaluated) - len(grid)
+        assert searched == len({(p.a, p.b) for seen in polls for p, _ in seen})
+        assert searched < 0.6 * len(values)
+
+    def test_warm_start_table_matches_reference(self, monkeypatch):
+        grid = build_paper_grid()[20::250]
+        table = {c: GaussianParams(0.5, 0.3) for c in grid}
+        expected, expected_polls = reference_grid(grid, warm_start=table)
+        points, polls, _ = self.memo_grid(monkeypatch, grid, warm_start=table)
+        assert points == expected
+        assert polls == expected_polls
+
+    def test_memo_does_not_outlive_the_call(self, monkeypatch):
+        grid = [0.8, 1.0, 1.3]
+        _, _, first = self.memo_grid(monkeypatch, grid)
+        _, _, second = self.memo_grid(monkeypatch, grid)
+        assert first == second
 
 
 class TestCertifyGrid:
