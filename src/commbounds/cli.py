@@ -240,10 +240,6 @@ def cmd_erfmin(args: argparse.Namespace) -> int:
 
 
 def _certify_points(args: argparse.Namespace, grid: list[float]) -> list[BoundPoint]:
-    if args.threads > 1:
-        # optimize_grid splits a grid over processes only when a warm-start
-        # table covers every node, and certify passes none.
-        print(f"note: certify runs sequentially; --threads {args.threads} is ignored", file=sys.stderr)
     if args.params is None:
         return optimize_grid(grid)
     as_ = _read_param_file(args.params[0])
@@ -451,16 +447,9 @@ def cmd_counterexample(args: argparse.Namespace) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="commbounds", description=__doc__.splitlines()[0])
-    # Sharing an --out action through the common parent would be wrong:
-    # argparse copies parent actions by reference, so a per-command
-    # default set later would leak into every other command.
-    common = _Parser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    common.add_argument("--threads", type=int, default=1, help="worker processes")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("erfmin", parents=[common], help="evaluate the bound at (c, a, b)")
-    p.add_argument("--out", default=None, help="output file path")
+    p = sub.add_parser("erfmin", help="evaluate the bound at (c, a, b)")
     p.add_argument("c")
     p.add_argument("a")
     p.add_argument("b")
@@ -468,7 +457,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--Tf", type=float, default=1e-10, help="comparison tolerance")
     p.set_defaults(func=cmd_erfmin)
 
-    p = sub.add_parser("certify", parents=[common], help="build a stitched certificate")
+    p = sub.add_parser("certify", help="build a stitched certificate")
     p.add_argument(
         "--grid",
         default="paper",
@@ -484,19 +473,20 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default="cert.json", help="certificate path (default cert.json)")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("sqrt-const", parents=[common], help="sqrt-commutator constant")
-    p.add_argument("--out", default=None, help="output file path")
+    p = sub.add_parser("sqrt-const", help="sqrt-commutator constant")
     p.add_argument("--cert", required=True, help="certificate JSON from 'certify'")
     p.set_defaults(func=cmd_sqrt_const)
 
-    p = sub.add_parser("closed-forms", parents=[common], help="tabulate constants")
+    p = sub.add_parser("closed-forms", help="tabulate constants")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--r", default="0.5", help="power (float or start:stop:step)")
     p.add_argument("--csv", action="store_true", help="emit CSV instead of text")
     p.set_defaults(func=cmd_closed_forms)
 
-    p = sub.add_parser("verify", parents=[common], help="Monte-Carlo campaign")
+    p = sub.add_parser("verify", help="Monte-Carlo campaign")
     p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--f", default="f1", choices=("f1", "sqrt"), help="scalar function")
     p.add_argument("--norm", default="operator", help="operator|trace|hs|kyfan:K|schatten:P")
     p.add_argument("--trials", type=int, default=1000)
@@ -506,7 +496,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--min-commutator", type=float, default=None, dest="min_commutator")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("counterexample", parents=[common], help="fixed reversal report")
+    p = sub.add_parser("counterexample", help="fixed reversal report")
     p.add_argument("--out", default=None, help="output file path")
     p.set_defaults(func=cmd_counterexample)
     return parser

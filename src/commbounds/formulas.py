@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from commbounds.approx import DomainViolation, f1
-from commbounds.optimize import PatternSearchConfig, pattern_search_nd
+from commbounds.optimize import pattern_search_nd
 
 __all__ = [
     "PiecewiseQuadParams",
@@ -228,22 +228,20 @@ def pq_f1_bound(c: float, p: PiecewiseQuadParams) -> float:
 
 
 def optimize_pq_f1(
-    c: float,
-    start: tuple[float, float] = (1.0, -0.01),
-    cfg: PatternSearchConfig | None = None,
+    c: float, start: tuple[float, float] = (1.0, -0.01)
 ) -> tuple[float, PiecewiseQuadParams]:
     """Minimize pq_f1_bound(c, .) over a > 0, m <= 0 by pattern search.
 
-    Returns (bound at the winner, winner).  Deterministic given (start,
-    cfg); callers chasing a c-grid can chain each node's winner into the
-    next node's start.
+    Returns (bound at the winner, winner).  Deterministic given start;
+    callers chasing a c-grid can chain each node's winner into the next
+    node's start.
     """
     c = _check_positive(c, "c")
 
     def objective(t: tuple[float, ...]) -> float:
         return pq_f1_bound(c, PiecewiseQuadParams(t[0], t[1]))
 
-    best = pattern_search_nd(objective, start, cfg, lower=(1e-8, None), upper=(None, 0.0))
+    best = pattern_search_nd(objective, start, lower=(1e-8, None), upper=(None, 0.0))
     params = PiecewiseQuadParams(best[0], best[1])
     return pq_f1_bound(c, params), params
 

@@ -441,7 +441,6 @@ class CampaignConfig:
     seed: int = 0
     f: str = "f1"
     norm: NormKind = field(default_factory=NormKind.operator)
-    sampler: str = "wishart"
     a_equals_b: bool = False
     unit_norm_a: bool = False
     min_commutator: float | None = None
@@ -456,8 +455,12 @@ class CampaignConfig:
             raise DomainViolation(f"threads must be >= 1, got {self.threads}")
         if self.f not in _F_TABLE:
             raise BadParameter(f"unknown f selector {self.f!r}; choose from {sorted(_F_TABLE)}")
-        if self.sampler != "wishart":
-            raise BadParameter(f"unknown sampler {self.sampler!r}; only 'wishart' is implemented")
+        if self.min_commutator is not None and not (
+            math.isfinite(self.min_commutator) and self.min_commutator >= 0.0
+        ):
+            raise DomainViolation(
+                f"min_commutator must be finite and >= 0, got {self.min_commutator}"
+            )
 
 
 @dataclass(frozen=True)

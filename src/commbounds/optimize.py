@@ -6,11 +6,10 @@ search: poll the axis directions (+a, -a, +b, -b) with a common step,
 accept the first strict improvement, expand the step on success and
 shrink it on failure, and stop when the step falls below a floor or the
 evaluation budget runs out.  The grid driver chains warm starts from one
-node to the next (the minimizer moves slowly in c), or runs nodes
-independently, optionally in parallel, when an external warm-start table
-supplies every starting point.  Only the c * a term of the bound depends
-on c, so one grid search remembers the c-independent spread of every
-(a, b) it has evaluated and scores a repeated poll without root finding.
+node to the next (the minimizer moves slowly in c).  Only the c * a term
+of the bound depends on c, so one grid search remembers the
+c-independent spread of every (a, b) it has evaluated and scores a
+repeated poll without root finding.
 Every returned node is re-certified by a fresh bound evaluation at the
 final parameters so the reported constant is reproducible bit for bit.
 
@@ -22,9 +21,8 @@ bound 1 + c.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from commbounds.approx import (
     MixtureParams,
     NoSignChange,
     RootValidationFailed,
-    ToleranceConfig,
     certify_mixture,
     erf_min_bound,
     f1,
@@ -44,7 +41,6 @@ from commbounds.approx import (
 from commbounds.witnesses import load_witnesses
 
 __all__ = [
-    "PatternSearchConfig",
     "BoundPoint",
     "pattern_search",
     "pattern_search_nd",
@@ -54,24 +50,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PatternSearchConfig:
-    """Step-control settings for the coordinate pattern search."""
-
-    initial_step: float = 0.5
-    shrink: float = 0.5
-    expand: float = 2.0
-    min_step: float = 1e-9
-    max_evals: int = 20000
-    lower_bounds: tuple[float, float] = (1e-8, 1e-8)
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.min_step < self.initial_step):
-            raise DomainViolation("min_step must satisfy 0 < min_step < initial_step")
-        if not (0.0 < self.shrink < 1.0 <= self.expand):
-            raise DomainViolation("step factors must satisfy 0 < shrink < 1 <= expand")
-        if self.max_evals < 1:
-            raise DomainViolation("max_evals must be at least 1")
+# Step control of the coordinate pattern search.
+_INITIAL_STEP = 0.5
+_SHRINK = 0.5
+_EXPAND = 2.0
+_MIN_STEP = 1e-9
+_MAX_EVALS = 20000
+_LOWER_BOUNDS = (1e-8, 1e-8)
 
 
 @dataclass(frozen=True)
@@ -102,7 +87,6 @@ def _clamp(point: tuple[float, ...], lower, upper) -> tuple[float, ...]:
 def pattern_search_nd(
     objective: Callable[[tuple[float, ...]], float],
     start: Sequence[float],
-    cfg: PatternSearchConfig | None = None,
     lower: Sequence[float | None] | None = None,
     upper: Sequence[float | None] | None = None,
 ) -> tuple[float, ...]:
@@ -113,16 +97,14 @@ def pattern_search_nd(
     penalty (rather than raise) on inputs it dislikes.  Returns the best
     point seen, which is never worse than the clamped start.
     """
-    if cfg is None:
-        cfg = PatternSearchConfig()
     dim = len(start)
     lower = tuple(lower) if lower is not None else (None,) * dim
     upper = tuple(upper) if upper is not None else (None,) * dim
     best = _clamp(tuple(float(v) for v in start), lower, upper)
     f_best = objective(best)
     evals = 1
-    step = cfg.initial_step
-    while step >= cfg.min_step and evals < cfg.max_evals:
+    step = _INITIAL_STEP
+    while step >= _MIN_STEP and evals < _MAX_EVALS:
         improved = False
         for axis in range(dim):
             for sign in (1.0, -1.0):
@@ -137,27 +119,23 @@ def pattern_search_nd(
                     best, f_best = cand_t, value
                     improved = True
                     break
-                if evals >= cfg.max_evals:
+                if evals >= _MAX_EVALS:
                     break
-            if improved or evals >= cfg.max_evals:
+            if improved or evals >= _MAX_EVALS:
                 break
-        step = step * cfg.expand if improved else step * cfg.shrink
+        step = step * _EXPAND if improved else step * _SHRINK
     return best
 
 
 def pattern_search(
-    objective: Callable[[GaussianParams], float],
-    start: GaussianParams,
-    cfg: PatternSearchConfig | None = None,
+    objective: Callable[[GaussianParams], float], start: GaussianParams
 ) -> GaussianParams:
-    """Minimize an objective over kernel parameters, clamped above lower_bounds."""
-    if cfg is None:
-        cfg = PatternSearchConfig()
+    """Minimize an objective over kernel parameters, both at least 1e-8."""
 
     def wrapped(point: tuple[float, ...]) -> float:
         return objective(GaussianParams(point[0], point[1]))
 
-    a, b = pattern_search_nd(wrapped, (start.a, start.b), cfg, lower=cfg.lower_bounds)
+    a, b = pattern_search_nd(wrapped, (start.a, start.b), lower=_LOWER_BOUNDS)
     return GaussianParams(a, b)
 
 
@@ -180,8 +158,6 @@ _DEFAULT_START = (0.9, 0.5)
 def _certify_node(
     c: float,
     start: tuple[float, float],
-    cfg: PatternSearchConfig,
-    tol: ToleranceConfig | None,
     spreads: dict[tuple[float, float], float | None],
 ) -> BoundPoint:
     """Search from the given start, then re-certify the winning parameters.
@@ -192,10 +168,10 @@ def _certify_node(
     it, which would make the rejected region look like an optimum.
 
     spreads maps (a, b) to ErfMinOutcome.spread, or to None for a
-    rejected or degenerate pair; it is only valid for one tolerance
-    setting and for positive finite c.  A known pair is scored as
-    (spread + c * a) / f1(c), the same operations erf_min_bound performs,
-    so the search path does not depend on what spreads already holds.
+    rejected or degenerate pair; it is only valid for positive finite c.
+    A known pair is scored as (spread + c * a) / f1(c), the same
+    operations erf_min_bound performs, so the search path does not
+    depend on what spreads already holds.
     """
     scale = f1(c)
 
@@ -205,7 +181,7 @@ def _certify_node(
             spread = spreads[key]
             return math.inf if spread is None else (spread + c * params.a) / scale
         try:
-            outcome = erf_min_bound(c, params, tol)
+            outcome = erf_min_bound(c, params)
         except (RootValidationFailed, DomainViolation, NoSignChange):
             spreads[key] = None
             return math.inf
@@ -214,64 +190,36 @@ def _certify_node(
             return math.inf
         return outcome.value
 
-    best = pattern_search(penalized, GaussianParams(*start), cfg)
+    best = pattern_search(penalized, GaussianParams(*start))
     try:
-        outcome = erf_min_bound(c, best, tol)
+        outcome = erf_min_bound(c, best)
     except (RootValidationFailed, DomainViolation, NoSignChange):
         return BoundPoint(c, DEGENERATE_VALUE, best, True)
     return BoundPoint(c, outcome.value, best, outcome.degenerate)
 
 
-def _certify_node_star(args) -> BoundPoint:
-    return _certify_node(*args, {})
-
-
-def optimize_grid(
-    grid: Sequence[float],
-    cfg: PatternSearchConfig | None = None,
-    warm_start: Mapping[float, GaussianParams] | None = None,
-    threads: int = 1,
-    tol: ToleranceConfig | None = None,
-) -> list[BoundPoint]:
+def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:
     """Certify every node of a strictly increasing positive c-grid.
 
-    Each node starts the search from warm_start[c] when that entry
-    exists, otherwise from the previous node's optimum (the first node
-    falls back to (0.9, 0.5)).  When the warm-start table covers every
-    node the searches are independent and are distributed over a process
-    pool for threads > 1; outputs are identical to the sequential run.
-    The sequential run evaluates each (a, b) at most once per call (see
-    _certify_node); the pool memoises within each node only.
-    A node whose final certification is rejected or degenerate is
-    reported as a degenerate BoundPoint carrying the sentinel constant.
+    The first node starts the search from (0.9, 0.5), every later node
+    from the previous node's optimum.  One call evaluates each (a, b) at
+    most once (see _certify_node).  A node whose final certification is
+    rejected or degenerate is reported as a degenerate BoundPoint
+    carrying the sentinel constant.
     """
-    if cfg is None:
-        cfg = PatternSearchConfig()
     grid = [float(c) for c in grid]
-    if not grid:
-        return []
     if not all(math.isfinite(c) and c > 0.0 for c in grid):
         raise DomainViolation("grid values must be positive and finite")
     if any(u >= v for u, v in zip(grid, grid[1:])):
         raise DomainViolation("grid values must be strictly increasing")
 
-    full_table = warm_start is not None and all(c in warm_start for c in grid)
-    if full_table and threads > 1:
-        jobs = [(c, (warm_start[c].a, warm_start[c].b), cfg, tol) for c in grid]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_certify_node_star, jobs, chunksize=64))
-
     points: list[BoundPoint] = []
-    previous = _DEFAULT_START
+    start = _DEFAULT_START
     spreads: dict[tuple[float, float], float | None] = {}
     for c in grid:
-        if warm_start is not None and c in warm_start:
-            start = (warm_start[c].a, warm_start[c].b)
-        else:
-            start = previous
-        point = _certify_node(c, start, cfg, tol, spreads)
+        point = _certify_node(c, start, spreads)
         points.append(point)
-        previous = (point.params.a, point.params.b)
+        start = (point.params.a, point.params.b)
     return points
 
 

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from scipy.integrate import quad
 
-from commbounds.approx import DEGENERATE_VALUE, DomainViolation, GaussianParams, MixtureParams
+from commbounds.approx import DomainViolation, GaussianParams, MixtureParams
 from commbounds.formulas import csc1, scaled_cayley_Cc
 from commbounds.optimize import BoundPoint
 
@@ -46,7 +46,7 @@ class CoverageGap(ValueError):
 
 
 class DegenerateNode(ValueError):
-    """A node carries the degenerate sentinel instead of a certificate."""
+    """A node is flagged degenerate: it carries no certificate."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,12 @@ class StitchedCertificate:
         A node's params entry is [a, b] for a single Gaussian, null for
         the resolvent bound, and {"mixture": k} for a Gaussian mixture,
         which is stored once as entry k of a trailing "mixtures" list
-        (present only when some node uses one).
+        (present only when some node uses one).  The payload has no
+        degenerate flag: a degenerate node is never written.
         """
+        for p in self.points:
+            if p.degenerate:
+                raise DegenerateNode(f"degenerate constant at c = {p.c}")
         mixtures: dict[MixtureParams, int] = {}
         payload = {
             "grid": [p.c for p in self.points],
@@ -100,12 +104,7 @@ class StitchedCertificate:
             for m in payload.get("mixtures", [])
         ]
         points = tuple(
-            BoundPoint(
-                float(c),
-                float(C),
-                _params_from_payload(entry, mixtures),
-                float(C) == DEGENERATE_VALUE,
-            )
+            BoundPoint(float(c), float(C), _params_from_payload(entry, mixtures))
             for c, C, entry in zip(grid, constants, params)
         )
         return cls(
@@ -151,7 +150,7 @@ def _check_points(points: Sequence[BoundPoint]) -> None:
     if any(u >= v for u, v in zip(cs, cs[1:])):
         raise DomainViolation("points must be strictly increasing in c")
     for p in points:
-        if p.degenerate or p.C_k == DEGENERATE_VALUE:
+        if p.degenerate:
             raise DegenerateNode(f"degenerate constant at c = {p.c}")
 
 

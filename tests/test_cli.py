@@ -123,14 +123,6 @@ class TestCertifyCommand:
         assert back["global_C"] == first["global_C"]
         assert back["C_k"] == first["C_k"]
 
-    def test_threads_note_says_certify_runs_sequentially(self, capsys, tmp_path):
-        out = str(tmp_path / "cert.json")
-        code, _, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)
-        assert code == 0 and err == ""
-        code, _, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--threads", "2", "--out", out)
-        assert code == 0
-        assert err == "note: certify runs sequentially; --threads 2 is ignored\n"
-
     def test_supplied_params_preserve_node_count(self, capsys, tmp_path):
         out = str(tmp_path / "cert.json")
         assert run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)[0] == 0
@@ -326,6 +318,31 @@ class TestVerifyCommand:
 
     def test_bad_trials_exits_two(self, capsys):
         assert run(capsys, "verify", "--trials", "0")[0] == 2
+
+
+class TestCommandFlags:
+    def test_seed_and_threads_belong_to_verify(self, capsys, tmp_path):
+        out = str(tmp_path / "cert.json")
+        code, _, err = run(capsys, "certify", "--grid", "1.0:1.0:0.1", "--threads", "2", "--out", out)
+        assert code == 1 and "--threads" in err
+        assert not os.path.exists(out)
+        for command in (["closed-forms"], ["counterexample"], ["erfmin", "1.0", "0.75", "0.45"]):
+            assert run(capsys, *command, "--seed", "3")[0] == 1
+        runs = [
+            run(capsys, "verify", "--trials", "1500", "--n-max", "3", "--seed", "3", *extra)
+            for extra in ((), ("--threads", "2"))
+        ]
+        assert runs[0][0] == runs[1][0] == 0
+        assert runs[0][1] == runs[1][1]
+
+    def test_unused_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "f"
+        assert run(capsys, "erfmin", "1.0", "0.75", "0.45", "--out", str(path))[0] == 1
+        cert = str(tmp_path / "cert.json")
+        assert run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", cert)[0] == 0
+        code, _, err = run(capsys, "sqrt-const", "--cert", cert, "--out", str(path))
+        assert code == 1 and "--out" in err
+        assert not path.exists()
 
 
 class TestCounterexampleCommand:

@@ -283,9 +283,8 @@ class TestPqF1:
         assert 1.0 <= bound <= 1.07688
 
     def test_free_m_never_worse_than_tangent(self):
-        cfg = None
         for c in (0.05, 0.2, 1.0, 5.0):
-            free, _ = optimize_pq_f1(c, cfg=cfg)
+            free, _ = optimize_pq_f1(c)
             tangent_only = min(
                 pq_f1_bound(c, PiecewiseQuadParams(float(a), 0.0))
                 for a in np.geomspace(0.01, 1000.0, 2000)

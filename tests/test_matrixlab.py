@@ -773,8 +773,10 @@ class TestCampaign:
             CampaignConfig(threads=0)
         with pytest.raises(BadParameter):
             CampaignConfig(f="cube")
-        with pytest.raises(BadParameter):
-            CampaignConfig(sampler="haar")
+        for bad in (float("nan"), float("inf"), -0.5):
+            with pytest.raises(DomainViolation):
+                CampaignConfig(min_commutator=bad)
+        assert CampaignConfig(min_commutator=0.0).min_commutator == 0.0
 
     def test_single_trial_reproducible(self):
         cfg = CampaignConfig(n_max=3, trials=1, seed=9)

@@ -19,7 +19,6 @@ from commbounds.approx import (
 )
 from commbounds.optimize import (
     BoundPoint,
-    PatternSearchConfig,
     build_paper_grid,
     certify_grid,
     optimize_grid,
@@ -41,7 +40,7 @@ def penalized_bound(c):
 def recorded_search(record):
     """pattern_search that appends every (params, value) it polls to a new list in record."""
 
-    def search(objective, start, cfg=None):
+    def search(objective, start):
         seen = []
         record.append(seen)
 
@@ -50,20 +49,19 @@ def recorded_search(record):
             seen.append((params, value))
             return value
 
-        return pattern_search(spy, start, cfg)
+        return pattern_search(spy, start)
 
     return search
 
 
-def reference_grid(grid, warm_start=None):
+def reference_grid(grid):
     """optimize_grid without the memo: erf_min_bound on every poll.
 
     Returns the points and, per node, every (params, value) the search polled.
     """
-    points, polls, previous = [], [], GaussianParams(0.9, 0.5)
+    points, polls, start = [], [], GaussianParams(0.9, 0.5)
     search = recorded_search(polls)
     for c in grid:
-        start = warm_start[c] if warm_start is not None and c in warm_start else previous
 
         def objective(params, c=c):
             try:
@@ -78,29 +76,19 @@ def reference_grid(grid, warm_start=None):
             points.append(BoundPoint(c, out.value, best, out.degenerate))
         except (RootValidationFailed, DomainViolation, NoSignChange):
             points.append(BoundPoint(c, DEGENERATE_VALUE, best, True))
-        previous = best
+        start = best
     return points, polls
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = PatternSearchConfig()
-        assert cfg.initial_step == 0.5
-        assert cfg.shrink == 0.5
-        assert cfg.expand == 2.0
-        assert cfg.min_step == 1e-9
-        assert cfg.max_evals == 20000
-        assert cfg.lower_bounds == (1e-8, 1e-8)
-
-    def test_validation(self):
-        with pytest.raises(DomainViolation):
-            PatternSearchConfig(shrink=1.0)
-        with pytest.raises(DomainViolation):
-            PatternSearchConfig(expand=0.9)
-        with pytest.raises(DomainViolation):
-            PatternSearchConfig(min_step=0.5, initial_step=0.5)
-        with pytest.raises(DomainViolation):
-            PatternSearchConfig(max_evals=0)
+class TestSearchConstants:
+    def test_step_control_values(self):
+        # The certified single-Gaussian constants depend on these values.
+        assert optimize._INITIAL_STEP == 0.5
+        assert optimize._SHRINK == 0.5
+        assert optimize._EXPAND == 2.0
+        assert optimize._MIN_STEP == 1e-9
+        assert optimize._MAX_EVALS == 20000
+        assert optimize._LOWER_BOUNDS == (1e-8, 1e-8)
 
 
 class TestPatternSearch:
@@ -213,36 +201,26 @@ class TestOptimizeGrid:
                 optimize_grid([0.5, bad])
         assert optimize_grid([]) == []
 
-    def test_warm_start_idempotent(self):
-        grid = [0.8, 1.0, 1.3]
-        first = optimize_grid(grid)
-        table = {p.c: p.params for p in first}
-        second = optimize_grid(grid, warm_start=table)
-        for before, after in zip(first, second):
-            assert after.C_k <= before.C_k
+    def test_rejected_certification_is_reported(self, monkeypatch):
+        def rejected(c, params):
+            raise RootValidationFailed("stub rejection")
 
-    def test_parallel_matches_sequential(self):
-        grid = [0.9, 1.1, 2.0, 3.0]
-        table = {c: GaussianParams(0.5, 0.3) for c in grid}
-        sequential = optimize_grid(grid, warm_start=table, threads=1)
-        parallel = optimize_grid(grid, warm_start=table, threads=2)
-        assert sequential == parallel
+        monkeypatch.setattr(optimize, "erf_min_bound", rejected)
+        (point,) = optimize_grid([1.0])
+        assert point.degenerate
+        assert point.C_k == DEGENERATE_VALUE
+        assert point.params == GaussianParams(0.9, 0.5)
 
-    def test_degenerate_start_with_no_budget_is_reported(self):
-        cfg = PatternSearchConfig(max_evals=1)
-        points = optimize_grid(
-            [1.0], cfg=cfg, warm_start={1.0: GaussianParams(0.5, 100.0)}
-        )
-        assert points[0].degenerate
-        assert points[0].C_k == DEGENERATE_VALUE
+    def test_degenerate_certification_is_reported(self, monkeypatch):
+        def degenerate(c, params):
+            return erf_min_bound(c, GaussianParams(0.01, 1.0))
 
-    def test_rejected_certification_is_reported(self):
-        cfg = PatternSearchConfig(max_evals=1)
-        points = optimize_grid(
-            [1.0], cfg=cfg, warm_start={1.0: GaussianParams(0.99999, 1.0)}
-        )
-        assert points[0].degenerate
-        assert points[0].C_k == DEGENERATE_VALUE
+        assert degenerate(1.0, None).degenerate
+        monkeypatch.setattr(optimize, "erf_min_bound", degenerate)
+        (point,) = optimize_grid([1.0])
+        assert point.degenerate
+        assert point.C_k == DEGENERATE_VALUE
+        assert point.params == GaussianParams(0.9, 0.5)
 
 
 class TestOptimizeGridMemo:
@@ -253,16 +231,16 @@ class TestOptimizeGridMemo:
     erf_min_bound on every poll.
     """
 
-    def memo_grid(self, monkeypatch, grid, warm_start=None):
+    def memo_grid(self, monkeypatch, grid):
         polls, evaluated = [], []
 
-        def counted(c, params, tol=None):
+        def counted(c, params):
             evaluated.append((c, params))
-            return erf_min_bound(c, params, tol)
+            return erf_min_bound(c, params)
 
         monkeypatch.setattr(optimize, "pattern_search", recorded_search(polls))
         monkeypatch.setattr(optimize, "erf_min_bound", counted)
-        points = optimize_grid(grid, warm_start=warm_start)
+        points = optimize_grid(grid)
         return points, polls, evaluated
 
     @pytest.mark.parametrize("offset", [0, 37])
@@ -279,14 +257,6 @@ class TestOptimizeGridMemo:
         searched = len(evaluated) - len(grid)
         assert searched == len({(p.a, p.b) for seen in polls for p, _ in seen})
         assert searched < 0.6 * len(values)
-
-    def test_warm_start_table_matches_reference(self, monkeypatch):
-        grid = build_paper_grid()[20::250]
-        table = {c: GaussianParams(0.5, 0.3) for c in grid}
-        expected, expected_polls = reference_grid(grid, warm_start=table)
-        points, polls, _ = self.memo_grid(monkeypatch, grid, warm_start=table)
-        assert points == expected
-        assert polls == expected_polls
 
     def test_memo_does_not_outlive_the_call(self, monkeypatch):
         grid = [0.8, 1.0, 1.3]

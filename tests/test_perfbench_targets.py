@@ -1,13 +1,18 @@
-"""The traced benchmark wraps module attributes of the package by name.
+"""The benchmark calls the package by name and wraps some of its attributes.
 
-perfbench/spans.py lists them in TARGETS; a rename or a removed import in
-the package would otherwise only show when a traced run fails.  The file
-is loaded by path so the test needs no package for the benchmark.
+perfbench/spans.py lists the wrapped ones in TARGETS, and
+perfbench/workloads.py calls a few functions with fixed argument names; a
+rename, a removed import or a changed signature in the package would
+otherwise only show when a benchmark run fails.  The spans file is loaded
+by path so the test needs no package for the benchmark.
 """
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -21,3 +26,33 @@ def test_every_traced_target_resolves():
         assert callable(getattr(importlib.import_module(module), attribute, None)), (
             f"{module}.{attribute} is traced by perfbench/spans.py but does not resolve"
         )
+
+
+# The benchmark's calls into the package (perfbench/workloads.py), as
+# positional and keyword argument names; the values are placeholders.
+CALL_SHAPES = {
+    "optimize_grid": ("commbounds.optimize", "optimize_grid", ("grid",), ()),
+    "certify_grid": ("commbounds.optimize", "certify_grid", ("grid",), ()),
+    "optimize_pq_f1": ("commbounds.formulas", "optimize_pq_f1", ("c",), ("start",)),
+    "fit_witness": ("commbounds.witnesses", "fit_witness", ("c",), ()),
+    "campaign_f1": (
+        "commbounds.matrixlab",
+        "CampaignConfig",
+        (),
+        ("n_max", "trials", "seed", "f", "norm", "threads"),
+    ),
+    "campaign_sharp": (
+        "commbounds.matrixlab",
+        "CampaignConfig",
+        (),
+        ("n_max", "trials", "seed", "f", "norm", "a_equals_b", "unit_norm_a", "min_commutator", "threads"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "module, attribute, positional, keywords", CALL_SHAPES.values(), ids=CALL_SHAPES.keys()
+)
+def test_benchmark_call_shapes_bind(module, attribute, positional, keywords):
+    target = getattr(importlib.import_module(module), attribute)
+    inspect.signature(target).bind(*positional, **{name: name for name in keywords})

@@ -70,9 +70,9 @@ class TestStitch:
     def test_degenerate_node_rejected(self):
         good = BoundPoint(1.0, 1.01, DUMMY, False)
         with pytest.raises(DegenerateNode):
-            stitch([good, BoundPoint(2.0, 10.0, DUMMY, True)])
-        with pytest.raises(DegenerateNode):
-            stitch([good, BoundPoint(2.0, 10.0, DUMMY, False)])
+            stitch([good, BoundPoint(2.0, 1.01, DUMMY, True)])
+        # Only the flag marks a node degenerate, not its constant.
+        assert stitch([good, BoundPoint(2.0, 10.0, DUMMY, False)]).points[1].C_k == 10.0
 
     def test_sorting_and_empty(self):
         with pytest.raises(DomainViolation):
@@ -222,6 +222,18 @@ class TestSerialization:
             "grid", "C_k", "D_k", "params", "corner_small", "corner_large", "global_C",
         ]
         assert payload["params"] == [[1.0, 1.0]] * 3
+
+    def test_constant_ten_is_not_degenerate(self):
+        cert = stitch([BoundPoint(1.0, 1.01, DUMMY), BoundPoint(2.0, 10.0, DUMMY)])
+        back = StitchedCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
+        assert back == cert
+        assert not back.points[1].degenerate
+        flagged = StitchedCertificate(
+            (BoundPoint(1.0, 1.01, DUMMY), BoundPoint(2.0, 1.01, DUMMY, True)),
+            cert.lifted, None, None, cert.global_C,
+        )
+        with pytest.raises(DegenerateNode):
+            flagged.to_dict()
 
     def test_length_mismatch_rejected(self):
         cert = stitch(optimize_grid([1.0, 1.5]))
