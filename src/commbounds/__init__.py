@@ -23,7 +23,6 @@ unitarily invariant norms, for operator-monotone test functions such as
 """
 
 from commbounds.approx import (
-    DEGENERATE_VALUE,
     DomainViolation,
     ErfMinOutcome,
     GaussianParams,
@@ -31,7 +30,6 @@ from commbounds.approx import (
     MixtureParams,
     NoSignChange,
     RootValidationFailed,
-    ToleranceConfig,
     certify_mixture,
     erf_min_bound,
     f1,
@@ -106,7 +104,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "CoverageGap",
-    "DEGENERATE_VALUE",
     "DegenerateNode",
     "DomainViolation",
     "ErfMinOutcome",
@@ -121,7 +118,6 @@ __all__ = [
     "RootValidationFailed",
     "SpectralRadiusTooLarge",
     "StitchedCertificate",
-    "ToleranceConfig",
     "ZeroDenominator",
     "build_paper_grid",
     "certify_grid",

@@ -38,11 +38,8 @@ __all__ = [
     "GaussianParams",
     "MixtureParams",
     "MixtureCertificate",
-    "ToleranceConfig",
     "ErfMinOutcome",
-    "DEGENERATE_VALUE",
     "f1",
-    "erf",
     "gauss",
     "gauss_mass",
     "g_erf",
@@ -59,9 +56,15 @@ __all__ = [
     "node_value",
 ]
 
-DEGENERATE_VALUE = 10.0
-
 _EPS = sys.float_info.epsilon
+
+# Half width of the safety window around each critical point; the root
+# finder resolves to one tenth of it.
+_ROOT_TOL = 1e-5
+# Strict margin required of the derivative signs at the window edges.
+_COMP_TOL = 1e-10
+# Iteration cap of the root finder.
+_MAX_ITER = 200
 
 
 class DomainViolation(ValueError):
@@ -113,36 +116,17 @@ class MixtureParams:
 
 
 @dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances used when locating and validating roots.
-
-    root_tol is the half width of the safety window around each critical
-    point (it also sets the root finder resolution at one tenth of its
-    value), and comp_tol is the strict margin required of the derivative
-    signs at the window edges.
-    """
-
-    root_tol: float = 1e-5
-    comp_tol: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.comp_tol < self.root_tol):
-            raise DomainViolation(
-                f"tolerances must satisfy 0 < comp_tol < root_tol, got {self.comp_tol!r}, {self.root_tol!r}"
-            )
-
-
-@dataclass(frozen=True)
 class ErfMinOutcome:
     """Pointwise bound together with the certified critical points.
 
     value is the bound itself; x1 and x2 are the validated local maximum
     and local minimum of the residual (x1 is None when the amplitude is
     at least one, both are None in the degenerate case); error_budget is
-    the additive safety margin 2 * (1 + a) * root_tol; degenerate flags
-    the sentinel outcome.  spread = osc(j) + error_budget is the part of
-    the numerator that does not depend on c, so value equals
-    (spread + c * a) / f1(c) exactly; it is None in the degenerate case.
+    the additive safety margin 2 * (1 + a) * _ROOT_TOL; degenerate flags
+    a residual with no interior critical point.  spread = osc(j) +
+    error_budget is the part of the numerator that does not depend on c,
+    so value equals (spread + c * a) / f1(c) exactly.  A degenerate
+    outcome certifies nothing: its spread and value are inf.
     """
 
     value: float
@@ -150,15 +134,7 @@ class ErfMinOutcome:
     x2: float | None
     error_budget: float
     degenerate: bool
-    spread: float | None
-
-    @property
-    def roots(self) -> tuple[float | None, float] | None:
-        """Return the critical-point pair (x1, x2), or None when degenerate."""
-        if self.degenerate:
-            return None
-        assert self.x2 is not None
-        return (self.x1, self.x2)
+    spread: float
 
 
 def f1(x: float) -> float:
@@ -166,11 +142,6 @@ def f1(x: float) -> float:
     if x <= -1.0:
         raise DomainViolation(f"f1 requires x > -1, got {x!r}")
     return x / (x + 1.0)
-
-
-def erf(x: float) -> float:
-    """Evaluate the error function (2 / sqrt(pi)) * integral of e^(-t^2) on [0, x]."""
-    return math.erf(x)
 
 
 def gauss(x: float, params: GaussianParams) -> float:
@@ -252,32 +223,24 @@ def x_end(params: GaussianParams) -> float:
     raise NoSignChange("phi stayed nonpositive along the entire doubling sequence")
 
 
-def bracketed_root(
-    func: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: ToleranceConfig | None = None,
-    maxiter: int = 200,
-) -> float:
+def bracketed_root(func: Callable[[float], float], lo: float, hi: float) -> float:
     """Find a root of func on [lo, hi] with Brent's method.
 
     The endpoint values must have strictly opposite signs, otherwise
     NoSignChange is raised.  The convergence window is one tenth of
-    tol.root_tol, so the returned point sits well inside the +-root_tol
+    _ROOT_TOL, so the returned point sits well inside the +-_ROOT_TOL
     validation window used downstream.  The combination of bisection,
     secant and inverse quadratic steps is fully deterministic with a
-    hard cap of maxiter iterations.
+    hard cap of _MAX_ITER iterations.
     """
-    if tol is None:
-        tol = ToleranceConfig()
-    xtol = 0.1 * tol.root_tol
+    xtol = 0.1 * _ROOT_TOL
     a, b = lo, hi
     fa, fb = func(a), func(b)
     if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
         raise NoSignChange(f"no strict sign change on [{lo!r}, {hi!r}]")
     c, fc = a, fa
     d = e = b - a
-    for _ in range(maxiter):
+    for _ in range(_MAX_ITER):
         if (fb > 0.0) == (fc > 0.0):
             c, fc = a, fa
             d = e = b - a
@@ -316,61 +279,53 @@ def bracketed_root(
         else:
             b += math.copysign(tol1, xm)
         fb = func(b)
-    raise RootValidationFailed(f"root finder did not converge within {maxiter} iterations")
+    raise RootValidationFailed(f"root finder did not converge within {_MAX_ITER} iterations")
 
 
-def _validate_local_minimum(root: float, params: GaussianParams, tol: ToleranceConfig) -> None:
-    t, eps = tol.root_tol, tol.comp_tol
+def _validate_extremum(root: float, params: GaussianParams, sign: float) -> None:
+    """Confirm a local minimum (sign = 1) or maximum (sign = -1) of j at root.
+
+    sign * j' must be at most -_COMP_TOL at root - _ROOT_TOL and at least
+    _COMP_TOL at root + _ROOT_TOL.
+    """
+    t, eps = _ROOT_TOL, _COMP_TOL
     if root - t < eps:
         raise DomainViolation(f"validation window around {root!r} leaves the domain")
-    if not (j_prime(root - t, params) <= -eps and j_prime(root + t, params) >= eps):
-        raise RootValidationFailed(f"derivative signs around {root!r} do not confirm a local minimum")
+    if not (sign * j_prime(root - t, params) <= -eps and sign * j_prime(root + t, params) >= eps):
+        kind = "minimum" if sign > 0.0 else "maximum"
+        raise RootValidationFailed(f"derivative signs around {root!r} do not confirm a local {kind}")
 
 
-def _validate_local_maximum(root: float, params: GaussianParams, tol: ToleranceConfig) -> None:
-    t, eps = tol.root_tol, tol.comp_tol
-    if root - t < eps:
-        raise DomainViolation(f"validation window around {root!r} leaves the domain")
-    if not (j_prime(root - t, params) >= eps and j_prime(root + t, params) <= -eps):
-        raise RootValidationFailed(f"derivative signs around {root!r} do not confirm a local maximum")
-
-
-def erf_min_bound(
-    c: float,
-    params: GaussianParams,
-    tol: ToleranceConfig | None = None,
-) -> ErfMinOutcome:
+def erf_min_bound(c: float, params: GaussianParams) -> ErfMinOutcome:
     """Bound the normalized approximation functional at the point c.
 
-    The certified quantity is (osc(j) + 2 * (1 + a) * root_tol + c * a)
+    The certified quantity is (osc(j) + 2 * (1 + a) * _ROOT_TOL + c * a)
     divided by f1(c), where osc(j) is the oscillation of the residual on
     [0, inf) computed from its validated critical points, the middle term
     is a safety margin that covers the root-location windows, and c * a
     accounts for the kernel amplitude at the origin.
 
     When phi is nonnegative at its minimizer the residual has no interior
-    critical points and the construction certifies nothing useful, so the
-    sentinel value 10 is returned with degenerate=True.
+    critical points and the construction certifies nothing: the outcome
+    has degenerate=True and value = spread = inf.
     """
     if not (math.isfinite(c) and c > 0.0):
         raise DomainViolation(f"evaluation point c must be positive and finite, got {c!r}")
-    if tol is None:
-        tol = ToleranceConfig()
 
     a = params.a
-    budget = 2.0 * (1.0 + a) * tol.root_tol
+    budget = 2.0 * (1.0 + a) * _ROOT_TOL
     xs = x_star(params.b)
     if phi(xs, params) >= 0.0:
-        return ErfMinOutcome(DEGENERATE_VALUE, None, None, budget, True, None)
+        return ErfMinOutcome(math.inf, None, None, budget, True, math.inf)
 
     sign_func = lambda x: phi(x, params)  # noqa: E731
 
-    x2 = bracketed_root(sign_func, xs, x_end(params), tol)
-    _validate_local_minimum(x2, params, tol)
+    x2 = bracketed_root(sign_func, xs, x_end(params))
+    _validate_extremum(x2, params, 1.0)
 
     if a < 1.0:
-        x1 = bracketed_root(sign_func, 0.0, xs, tol)
-        _validate_local_maximum(x1, params, tol)
+        x1 = bracketed_root(sign_func, 0.0, xs)
+        _validate_extremum(x1, params, -1.0)
         high = max(j_func(x1, params), j_limit(params))
         low = min(0.0, j_func(x2, params))
     else:

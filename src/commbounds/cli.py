@@ -34,13 +34,11 @@ import tempfile
 from dataclasses import dataclass
 
 from commbounds.approx import (
-    DEGENERATE_VALUE,
     DomainViolation,
     ErfMinOutcome,
     GaussianParams,
     NoSignChange,
     RootValidationFailed,
-    ToleranceConfig,
     erf_min_bound,
 )
 from commbounds.formulas import (
@@ -220,8 +218,9 @@ def _positive(value: str, name: str) -> float:
 
 
 def _outcome_payload(outcome: ErfMinOutcome) -> dict:
+    # A degenerate outcome's value is inf, which strict JSON cannot hold.
     return {
-        "value": outcome.value,
+        "value": None if outcome.degenerate else outcome.value,
         "x1": outcome.x1,
         "x2": outcome.x2,
         "degenerate": outcome.degenerate,
@@ -233,8 +232,7 @@ def cmd_erfmin(args: argparse.Namespace) -> int:
     c = _positive(args.c, "c")
     a = _positive(args.a, "a")
     b = _positive(args.b, "b")
-    tol = ToleranceConfig(root_tol=args.T, comp_tol=args.Tf)
-    outcome = erf_min_bound(c, GaussianParams(a, b), tol)
+    outcome = erf_min_bound(c, GaussianParams(a, b))
     print(json.dumps(_outcome_payload(outcome), indent=2))
     return 0
 
@@ -249,11 +247,10 @@ def _certify_points(args: argparse.Namespace, grid: list[float]) -> list[BoundPo
     for c, a, b in zip(table.cs, table.as_, table.bs):
         params = GaussianParams(a, b)
         try:
-            outcome = erf_min_bound(c, params)
+            value = erf_min_bound(c, params).value
         except (RootValidationFailed, DomainViolation, NoSignChange):
-            points.append(BoundPoint(c, DEGENERATE_VALUE, params, True))
-            continue
-        points.append(BoundPoint(c, outcome.value, params, outcome.degenerate))
+            value = math.inf
+        points.append(BoundPoint(c, value, params, value == math.inf))
     return points
 
 
@@ -453,8 +450,6 @@ def _build_parser() -> _Parser:
     p.add_argument("c")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--T", type=float, default=1e-5, help="root tolerance")
-    p.add_argument("--Tf", type=float, default=1e-10, help="comparison tolerance")
     p.set_defaults(func=cmd_erfmin)
 
     p = sub.add_parser("certify", help="build a stitched certificate")

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from scipy.optimize import minimize_scalar
+
 from commbounds.approx import DomainViolation, f1
 from commbounds.optimize import pattern_search_nd
 
@@ -123,26 +125,6 @@ def gamma_tangent(r: float) -> float:
     return (2.0 - r) * 2.0 ** (r - 1.0)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_section(func, lo: float, hi: float, tol: float = 1e-10) -> float:
-    """Minimize a unimodal function on [lo, hi]; returns the argmin."""
-    x1 = hi - _INVPHI * (hi - lo)
-    x2 = lo + _INVPHI * (hi - lo)
-    v1, v2 = func(x1), func(x2)
-    while hi - lo > tol:
-        if v1 < v2:
-            hi, x2, v2 = x2, x1, v1
-            x1 = hi - _INVPHI * (hi - lo)
-            v1 = func(x1)
-        else:
-            lo, x1, v1 = x1, x2, v2
-            x2 = lo + _INVPHI * (hi - lo)
-            v2 = func(x2)
-    return 0.5 * (lo + hi)
-
-
 def gamma_sin(r: float) -> tuple[float, float]:
     """Minimize t^r / sin(t) over (0, pi); returns (value, argmin).
 
@@ -155,7 +137,10 @@ def gamma_sin(r: float) -> tuple[float, float]:
     def objective(t: float) -> float:
         return t**r / math.sin(t)
 
-    argmin = _golden_section(objective, 1e-9, math.pi - 1e-9)
+    res = minimize_scalar(
+        objective, bounds=(1e-9, math.pi - 1e-9), method="bounded", options={"xatol": 1e-10}
+    )
+    argmin = float(res.x)
     return objective(argmin), argmin
 
 

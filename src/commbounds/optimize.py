@@ -8,10 +8,10 @@ shrink it on failure, and stop when the step falls below a floor or the
 evaluation budget runs out.  The grid driver chains warm starts from one
 node to the next (the minimizer moves slowly in c).  Only the c * a term
 of the bound depends on c, so one grid search remembers the
-c-independent spread of every (a, b) it has evaluated and scores a
-repeated poll without root finding.
-Every returned node is re-certified by a fresh bound evaluation at the
-final parameters so the reported constant is reproducible bit for bit.
+c-independent spread of every (a, b) it has evaluated and scores every
+poll, first or repeated, from that spread; a node's constant is the
+score of its winning parameters, which is erf_min_bound's value there
+bit for bit.
 
 `certify_grid` is the search-free certifier: every node takes the lower
 envelope of the committed Gaussian-mixture witnesses and the resolvent
@@ -27,7 +27,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from commbounds.approx import (
-    DEGENERATE_VALUE,
     DomainViolation,
     GaussianParams,
     MixtureParams,
@@ -93,8 +92,8 @@ def pattern_search_nd(
     """Minimize a total objective over box-clamped coordinates.
 
     Fully deterministic: the poll order is +x0, -x0, +x1, -x1, ... with
-    first-improvement acceptance.  The objective must return a finite
-    penalty (rather than raise) on inputs it dislikes.  Returns the best
+    first-improvement acceptance.  The objective must return a penalty
+    such as inf (rather than raise) on inputs it dislikes.  Returns the best
     point seen, which is never worse than the clamped start.
     """
     dim = len(start)
@@ -158,44 +157,32 @@ _DEFAULT_START = (0.9, 0.5)
 def _certify_node(
     c: float,
     start: tuple[float, float],
-    spreads: dict[tuple[float, float], float | None],
+    spreads: dict[tuple[float, float], float],
 ) -> BoundPoint:
-    """Search from the given start, then re-certify the winning parameters.
+    """Search from the given start and report the winning parameters.
 
-    Rejected or degenerate parameter pairs score +inf during the search
-    (the poll skips non-finite values).  The degenerate sentinel itself
-    cannot be used as the penalty: for small c the genuine bound exceeds
-    it, which would make the rejected region look like an optimum.
-
-    spreads maps (a, b) to ErfMinOutcome.spread, or to None for a
-    rejected or degenerate pair; it is only valid for positive finite c.
-    A known pair is scored as (spread + c * a) / f1(c), the same
-    operations erf_min_bound performs, so the search path does not
-    depend on what spreads already holds.
+    spreads maps (a, b) to ErfMinOutcome.spread, which is inf for a
+    degenerate pair, and to inf for a rejected one; it is only valid for
+    positive finite c.  Every poll scores (spread + c * a) / f1(c), the
+    operations erf_min_bound performs, so a score is the bound itself bit
+    for bit and the search path does not depend on what spreads already
+    holds.  The pattern search evaluates its start, so the winner's score
+    is in spreads; the node is degenerate exactly when that score is inf.
     """
     scale = f1(c)
 
-    def penalized(params: GaussianParams) -> float:
+    def score(params: GaussianParams) -> float:
         key = (params.a, params.b)
-        if key in spreads:
-            spread = spreads[key]
-            return math.inf if spread is None else (spread + c * params.a) / scale
-        try:
-            outcome = erf_min_bound(c, params)
-        except (RootValidationFailed, DomainViolation, NoSignChange):
-            spreads[key] = None
-            return math.inf
-        spreads[key] = outcome.spread
-        if outcome.degenerate:
-            return math.inf
-        return outcome.value
+        if key not in spreads:
+            try:
+                spreads[key] = erf_min_bound(c, params).spread
+            except (RootValidationFailed, DomainViolation, NoSignChange):
+                spreads[key] = math.inf
+        return (spreads[key] + c * params.a) / scale
 
-    best = pattern_search(penalized, GaussianParams(*start))
-    try:
-        outcome = erf_min_bound(c, best)
-    except (RootValidationFailed, DomainViolation, NoSignChange):
-        return BoundPoint(c, DEGENERATE_VALUE, best, True)
-    return BoundPoint(c, outcome.value, best, outcome.degenerate)
+    best = pattern_search(score, GaussianParams(*start))
+    value = score(best)
+    return BoundPoint(c, value, best, value == math.inf)
 
 
 def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:
@@ -203,9 +190,8 @@ def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:
 
     The first node starts the search from (0.9, 0.5), every later node
     from the previous node's optimum.  One call evaluates each (a, b) at
-    most once (see _certify_node).  A node whose final certification is
-    rejected or degenerate is reported as a degenerate BoundPoint
-    carrying the sentinel constant.
+    most once (see _certify_node).  A node whose every poll was rejected
+    or degenerate is reported as a degenerate BoundPoint with C_k = inf.
     """
     grid = [float(c) for c in grid]
     if not all(math.isfinite(c) and c > 0.0 for c in grid):
@@ -215,7 +201,7 @@ def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:
 
     points: list[BoundPoint] = []
     start = _DEFAULT_START
-    spreads: dict[tuple[float, float], float | None] = {}
+    spreads: dict[tuple[float, float], float] = {}
     for c in grid:
         point = _certify_node(c, start, spreads)
         points.append(point)

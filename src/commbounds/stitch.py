@@ -152,6 +152,8 @@ def _check_points(points: Sequence[BoundPoint]) -> None:
     for p in points:
         if p.degenerate:
             raise DegenerateNode(f"degenerate constant at c = {p.c}")
+        if not (math.isfinite(p.C_k) and p.C_k >= 1.0):
+            raise DomainViolation(f"C_k must be >= 1 and finite, got {p.C_k} at c = {p.c}")
 
 
 def stitch(points: Sequence[BoundPoint]) -> StitchedCertificate:

@@ -75,11 +75,11 @@ class TestErfminCommand:
         assert payload["degenerate"] is False
         assert payload["error_budget"] == expected.error_budget
 
-    def test_degenerate_triple_prints_ten(self, capsys):
+    def test_degenerate_triple_prints_null(self, capsys):
         code, out, _ = run(capsys, "erfmin", "1.0", "0.01", "1.0")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["value"] == 10.0
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["value"] is None
         assert payload["degenerate"] is True
 
     def test_non_positive_c_is_usage_error(self, capsys):
@@ -87,10 +87,11 @@ class TestErfminCommand:
         assert code == 1
         assert "usage error" in err
 
-    def test_bad_tolerance_is_validation_error(self, capsys):
-        code, _, err = run(capsys, "erfmin", "1.0", "0.75", "0.45", "--T", "-1")
-        assert code == 2
-        assert "error" in err
+    def test_tolerance_flags_are_usage_errors(self, capsys):
+        for flag in ("--T", "--Tf"):
+            code, out, err = run(capsys, "erfmin", "1.0", "0.75", "0.45", flag, "1e-6")
+            assert code == 1
+            assert "usage error" in err and out == ""
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, _ = run(capsys)
@@ -174,7 +175,7 @@ class TestCertifyCommand:
         assert "degenerate" in err
         assert not os.path.exists(out)
         rows = open(str(tmp_path / "dg.csv")).read().splitlines()
-        assert rows[1].split(",")[1] == "10.0"
+        assert rows[1].split(",")[1] == "inf"
         assert rows[1].split(",")[2] == ""
         assert rows[1].endswith(",1")
         assert rows[2].endswith(",0")
@@ -230,6 +231,17 @@ class TestSqrtConstCommand:
         assert code == 2
         assert "span" in err
 
+    def test_nan_constant_exits_two(self, capsys, tmp_path):
+        points = [BoundPoint(c, 1.0, GaussianParams(1.0, 1.0)) for c in build_paper_grid()]
+        payload = global_constant(points, 0.0195, 40.0).to_dict()
+        payload["C_k"][1000] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(payload))
+        code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
+        assert code == 2
+        assert out == ""
+        assert "C_k" in err
+
     def test_missing_file_exits_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "sqrt-const", "--cert", str(tmp_path / "nope.json"))
         assert code == 1
@@ -249,7 +261,7 @@ class TestClosedFormsCommand:
         assert "1.4142135623730951" in out
         assert "1.2408064788027995" in out
         assert "1.0606601717798214" in out
-        assert "1.1747553531222157" in out
+        assert "1.1747553531222155" in out
         assert "1.1883951057781212" in out
         assert "1.5625" in out
         assert "1.1017414573743671" in out

@@ -7,7 +7,6 @@ import pytest
 
 from commbounds import optimize
 from commbounds.approx import (
-    DEGENERATE_VALUE,
     DomainViolation,
     GaussianParams,
     MixtureParams,
@@ -32,7 +31,7 @@ def penalized_bound(c):
         try:
             return erf_min_bound(c, p).value
         except (RootValidationFailed, DomainViolation):
-            return DEGENERATE_VALUE
+            return math.inf
 
     return objective
 
@@ -65,17 +64,13 @@ def reference_grid(grid):
 
         def objective(params, c=c):
             try:
-                out = erf_min_bound(c, params)
+                return erf_min_bound(c, params).value
             except (RootValidationFailed, DomainViolation, NoSignChange):
                 return math.inf
-            return math.inf if out.degenerate else out.value
 
         best = search(objective, start)
-        try:
-            out = erf_min_bound(c, best)
-            points.append(BoundPoint(c, out.value, best, out.degenerate))
-        except (RootValidationFailed, DomainViolation, NoSignChange):
-            points.append(BoundPoint(c, DEGENERATE_VALUE, best, True))
+        value = objective(best)
+        points.append(BoundPoint(c, value, best, value == math.inf))
         start = best
     return points, polls
 
@@ -208,7 +203,7 @@ class TestOptimizeGrid:
         monkeypatch.setattr(optimize, "erf_min_bound", rejected)
         (point,) = optimize_grid([1.0])
         assert point.degenerate
-        assert point.C_k == DEGENERATE_VALUE
+        assert point.C_k == math.inf
         assert point.params == GaussianParams(0.9, 0.5)
 
     def test_degenerate_certification_is_reported(self, monkeypatch):
@@ -219,7 +214,7 @@ class TestOptimizeGrid:
         monkeypatch.setattr(optimize, "erf_min_bound", degenerate)
         (point,) = optimize_grid([1.0])
         assert point.degenerate
-        assert point.C_k == DEGENERATE_VALUE
+        assert point.C_k == math.inf
         assert point.params == GaussianParams(0.9, 0.5)
 
 
@@ -252,11 +247,11 @@ class TestOptimizeGridMemo:
         assert points == expected
         assert polls == expected_polls
         values = [value for seen in polls for _, value in seen]
-        # Rejected pairs are remembered too, and most polls are repeats.
+        # Rejected pairs are remembered too, and most polls are repeats:
+        # each distinct pair is evaluated once, the winners included.
         assert values.count(math.inf) > 0.05 * len(values)
-        searched = len(evaluated) - len(grid)
-        assert searched == len({(p.a, p.b) for seen in polls for p, _ in seen})
-        assert searched < 0.6 * len(values)
+        assert len(evaluated) == len({(p.a, p.b) for seen in polls for p, _ in seen})
+        assert len(evaluated) < 0.6 * len(values)
 
     def test_memo_does_not_outlive_the_call(self, monkeypatch):
         grid = [0.8, 1.0, 1.3]

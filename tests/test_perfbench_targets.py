@@ -14,13 +14,20 @@ from pathlib import Path
 
 import pytest
 
+from commbounds.approx import DomainViolation, GaussianParams, erf_min_bound
+
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 
-def test_every_traced_target_resolves():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_traced_target_resolves():
+    spans = load_spans()
     assert spans.TARGETS
     for module, attribute, *_ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), attribute, None)), (
@@ -56,3 +63,17 @@ CALL_SHAPES = {
 def test_benchmark_call_shapes_bind(module, attribute, positional, keywords):
     target = getattr(importlib.import_module(module), attribute)
     inspect.signature(target).bind(*positional, **{name: name for name in keywords})
+
+
+def test_rejected_counter_reads_erf_min_bound_outcomes():
+    # The traced approx.erf_min_bound.rejected metric counts degenerate
+    # outcomes and raised errors, and nothing else.
+    rejected = load_spans()._rejected
+    args = (1.0, GaussianParams(1.0, 1.0))
+    assert rejected(args, erf_min_bound(*args), None) is None
+    degenerate = erf_min_bound(1.0, GaussianParams(0.5, 100.0))
+    assert degenerate.degenerate
+    assert rejected(args, degenerate, None) == {"rejected": 1}
+    with pytest.raises(DomainViolation) as raised:
+        erf_min_bound(1.0, GaussianParams(0.99999, 1.0))
+    assert rejected(args, None, raised.value) == {"rejected": 1}

@@ -190,6 +190,17 @@ class TestSqrtConstant:
         with pytest.raises(DegenerateNode):
             sqrt_constant(bad)
 
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.5])
+    def test_rejects_non_finite_or_sub_unit_constant(self, C):
+        # Every node constant must be finite and at least 1, as in
+        # continuity_lift; a NaN would otherwise pass into the sum.
+        points = flat_points(build_paper_grid())
+        points[1000] = BoundPoint(points[1000].c, C, DUMMY, False)
+        with pytest.raises(DomainViolation):
+            sqrt_constant(points)
+        with pytest.raises(DomainViolation):
+            stitch(points)
+
 
 class TestSerialization:
     def test_round_trip_is_exact(self):
