@@ -56,7 +56,6 @@ from commbounds.matrixlab import (
     BadParameter,
     CampaignConfig,
     CampaignReport,
-    HermitianSpectral,
     NormKind,
     NotHermitian,
     SpectralRadiusTooLarge,
@@ -108,7 +107,6 @@ __all__ = [
     "DomainViolation",
     "ErfMinOutcome",
     "GaussianParams",
-    "HermitianSpectral",
     "MixtureCertificate",
     "MixtureParams",
     "NoSignChange",

@@ -184,26 +184,31 @@ def parse_norm(text: str) -> NormKind:
     )
 
 
-def _parse_grid(spec: str) -> list[float]:
-    if spec == "paper":
-        return build_paper_grid()
+def _parse_range(spec: str, what: str) -> list[float]:
+    """start:stop:step as start + k*step for k = 0, 1, ... up to stop + 1e-12."""
     parts = spec.split(":")
     if len(parts) != 3:
-        raise UsageError(f"bad grid {spec!r}; expected 'paper' or start:stop:step")
+        raise UsageError(f"bad {what} {spec!r}; expected start:stop:step")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
-        raise UsageError(f"bad grid {spec!r}: {exc}") from exc
-    if start <= 0.0 or step <= 0.0 or stop < start:
-        raise UsageError("grid requires 0 < start <= stop and step > 0")
+        raise UsageError(f"bad {what} {spec!r}: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
+        raise UsageError(f"{what} {spec!r} requires finite start <= stop and step > 0")
     values = []
     k = 0
-    while True:
-        c = start + k * step
-        if c > stop + 1e-12:
-            break
-        values.append(c)
+    while start + k * step <= stop + 1e-12:
+        values.append(start + k * step)
         k += 1
+    return values
+
+
+def _parse_grid(spec: str) -> list[float]:
+    if spec == "paper":
+        return build_paper_grid()
+    values = _parse_range(spec, "grid")
+    if values[0] <= 0.0:
+        raise UsageError("grid requires 0 < start")
     return values
 
 
@@ -349,20 +354,7 @@ def _r_row(r: float) -> dict:
 
 
 def _parse_r_spec(spec: str) -> list[float]:
-    parts = spec.split(":")
-    if len(parts) == 1:
-        values = [float(parts[0])]
-    elif len(parts) == 3:
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0.0:
-            raise UsageError("r-grid step must be positive")
-        values = []
-        k = 0
-        while start + k * step <= stop + 1e-12:
-            values.append(start + k * step)
-            k += 1
-    else:
-        raise UsageError(f"bad r spec {spec!r}; expected a float or start:stop:step")
+    values = _parse_range(spec, "r spec") if ":" in spec else [float(spec)]
     for r in values:
         if not 0.0 < r < 1.0:
             raise UsageError(f"r must lie in (0, 1), got {r}")

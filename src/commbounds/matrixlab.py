@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,8 +25,6 @@ __all__ = [
     "BadParameter",
     "CampaignConfig",
     "CampaignReport",
-    "ComplexMatrix",
-    "HermitianSpectral",
     "NormKind",
     "NotHermitian",
     "SpectralRadiusTooLarge",
@@ -47,11 +45,6 @@ __all__ = [
 ]
 
 
-# Matrices are plain complex128 ndarrays; every entry point validates
-# shape and finiteness through _as_matrix/_as_square.
-ComplexMatrix = np.ndarray
-
-
 class NotHermitian(ValueError):
     """Input matrix is not Hermitian within tolerance."""
 
@@ -66,6 +59,10 @@ class SpectralRadiusTooLarge(ValueError):
 
 class ZeroDenominator(ArithmeticError):
     """Ratio undefined: denominator vanished with nonzero numerator."""
+
+
+# Each public function checks each matrix argument once, where it enters;
+# the private helpers below compute on checked arrays and check nothing.
 
 
 def _as_matrix(A, name: str = "matrix") -> np.ndarray:
@@ -84,8 +81,10 @@ def _as_square(A, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt((np.abs(a) ** 2).sum()))
+def _check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
+    """Reject a square m with ||m - m*|| > 1e-12 ||m|| in the Frobenius norm."""
+    if np.linalg.norm(m - m.conj().T) > 1e-12 * np.linalg.norm(m):
+        raise NotHermitian(f"{name} is not Hermitian within 1e-12 relative tolerance")
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -99,33 +98,22 @@ def _spectral_apply(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return 0.5 * (out + _adjoint(out))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianSpectral:
-    """Eigendecomposition A = V diag(eigenvalues) V* with ascending eigenvalues."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.eigenvalues) @ self.vectors.conj().T
-
-    def apply(self, f: Callable[[float], float]) -> np.ndarray:
-        """V f(diag) V*, symmetrized to kill roundoff skew."""
-        return _spectral_apply(np.array([f(float(x)) for x in self.eigenvalues]), self.vectors)
+def _eigh_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """numpy.linalg.eigh of (m + m*)/2, for a matrix or a stack."""
+    return np.linalg.eigh(0.5 * (m + _adjoint(m)))
 
 
-def hermitian_eig(A) -> HermitianSpectral:
-    """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
+def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors) of a Hermitian matrix, as numpy.linalg.eigh
+    gives them: ascending eigenvalues, and A = V diag(eigenvalues) V*.
 
     The input must be Hermitian within 1e-12 relative Frobenius
     tolerance; its Hermitian part is decomposed, so roundoff skew in the
     input does not reach the eigenvalues.
     """
     h = _as_square(A)
-    if _frobenius(h - h.conj().T) > 1e-12 * _frobenius(h):
-        raise NotHermitian("matrix is not Hermitian within 1e-12 relative tolerance")
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (h + h.conj().T))
-    return HermitianSpectral(eigenvalues, vectors)
+    _check_hermitian(h)
+    return _eigh_hermitian_part(h)
 
 
 def singular_values(X) -> np.ndarray:
@@ -205,35 +193,48 @@ def _norm_from_singulars(values: np.ndarray, kind: NormKind) -> np.ndarray:
     return np.sqrt((values**2).sum(axis=-1))
 
 
+def _norm(m: np.ndarray, kind: NormKind) -> np.ndarray:
+    """The norm of a matrix, or of each matrix in a stack."""
+    return _norm_from_singulars(np.linalg.svd(m, compute_uv=False), kind)
+
+
 def ui_norm(X, kind: NormKind) -> float:
     """Unitarily-invariant norm of X computed from its singular values."""
     return float(_norm_from_singulars(singular_values(X), kind))
 
 
 def _psd_apply(eigenvalues: np.ndarray, vectors: np.ndarray, f) -> np.ndarray:
-    """f of one PSD spectrum or a stack of them; f maps an array of eigenvalues."""
-    low = float(eigenvalues[..., 0].min(initial=0.0))
-    if low < -1e-10:
-        raise DomainViolation(f"matrix has negative eigenvalue {low}, not PSD")
+    """f of one PSD spectrum or a stack of them; f maps an array of eigenvalues.
+
+    A spectrum is PSD when its least eigenvalue is at least
+    -1e-10 max(1, largest eigenvalue); the roundoff negatives are clamped to 0.
+    """
+    low = eigenvalues[..., 0]
+    negative = low < -1e-10 * np.maximum(1.0, eigenvalues[..., -1])
+    if negative.any():
+        raise DomainViolation(f"matrix has negative eigenvalue {np.min(low[negative])}, not PSD")
     return _spectral_apply(f(np.clip(eigenvalues, 0.0, None)), vectors)
 
 
 def matrix_function(A, f: Callable[[float], float]) -> np.ndarray:
     """f(A) for Hermitian positive semidefinite A, spectrally.
 
-    Eigenvalues in [-1e-10, 0) are treated as roundoff and clamped to 0;
-    anything more negative is a genuine domain violation for f on
-    [0, inf).
+    Eigenvalues down to -1e-10 max(1, largest eigenvalue of A) are
+    treated as roundoff and clamped to 0, so the tolerance scales with A
+    when its norm exceeds 1; anything more negative is a genuine domain
+    violation for f on [0, inf).
     """
-    spec = hermitian_eig(A)
-    return _psd_apply(spec.eigenvalues, spec.vectors, np.vectorize(f, otypes=[float]))
+    return _psd_apply(*hermitian_eig(A), np.vectorize(f, otypes=[float]))
+
+
+def _unitary(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """V diag(e^{i eigenvalues}) V*."""
+    return (vectors * np.exp(1j * eigenvalues)) @ vectors.conj().T
 
 
 def unitary_exp(X) -> np.ndarray:
     """e^{iX} for Hermitian X, exact unitary up to eigensolver tolerance."""
-    spec = hermitian_eig(X)
-    phases = np.exp(1j * spec.eigenvalues)
-    return (spec.vectors * phases) @ spec.vectors.conj().T
+    return _unitary(*hermitian_eig(X))
 
 
 def gen_commutator(A, X, B) -> np.ndarray:
@@ -261,9 +262,8 @@ def doubling_embed(A, B, X) -> tuple[np.ndarray, np.ndarray]:
     n = a.shape[0]
     if b.shape[0] != n or x.shape[0] != n:
         raise DomainViolation("A, B, X must share the same dimension")
-    for m, name in ((a, "A"), (b, "B")):
-        if _frobenius(m - m.conj().T) > 1e-12 * max(_frobenius(m), 1e-300):
-            raise NotHermitian(f"{name} must be Hermitian for the doubling embed")
+    _check_hermitian(a, "A")
+    _check_hermitian(b, "B")
     zero = np.zeros((n, n), dtype=np.complex128)
     big_a = np.block([[a, zero], [zero, b]])
     big_x = np.block([[zero, x], [x.conj().T, zero]])
@@ -281,10 +281,14 @@ def verify_conjecture_ratio(A, B, X, f: Callable[[float], float], kind: NormKind
     nx = ui_norm(X, kind)
     if nx == 0.0:
         raise ZeroDenominator("X has zero norm")
-    fa = matrix_function(A, f)
-    fb = matrix_function(B, f)
-    numerator = ui_norm(gen_commutator(fa, X, fb), kind)
-    nk = ui_norm(gen_commutator(A, X, B), kind)
+    f_array = np.vectorize(f, otypes=[float])
+    fa = _psd_apply(*hermitian_eig(A), f_array)
+    fb = _psd_apply(*hermitian_eig(B), f_array)
+    a, b, x = (np.asarray(m, dtype=np.complex128) for m in (A, B, X))
+    if x.shape != (len(fa), len(fb)):
+        raise DomainViolation(f"X must be {len(fa)} x {len(fb)}, got {x.shape}")
+    numerator = float(_norm(fa @ x - x @ fb, kind))
+    nk = float(_norm(a @ x - x @ b, kind))
     denominator = nx * f(nk / nx)
     if denominator == 0.0:
         if numerator <= 1e-12 * max(nx, 1.0):
@@ -305,13 +309,17 @@ def verify_exp_equivalence(X, Y, kind: NormKind) -> tuple[float, float, float]:
     X must be Hermitian with operator norm < pi.  Returns (lhs, mid,
     rhs); the chain is enforced up to 1e-9 slack.
     """
-    op = ui_norm(X, NormKind.operator())
+    eigenvalues, vectors = hermitian_eig(X)
+    x = np.asarray(X, dtype=np.complex128)
+    op = float(_norm(x, NormKind.operator()))
     if op >= math.pi:
         raise SpectralRadiusTooLarge(f"operator norm {op} is not below pi")
-    u = unitary_exp(X)
+    u = _unitary(eigenvalues, vectors)
     y = _as_square(Y, "Y")
-    lhs = ui_norm(u @ y - y @ u, kind)
-    mid = ui_norm(gen_commutator(X, y, X), kind)
+    if y.shape != x.shape:
+        raise DomainViolation(f"Y must be {x.shape[0]} x {x.shape[0]} like X, got {y.shape}")
+    lhs = float(_norm(u @ y - y @ u, kind))
+    mid = float(_norm(x @ y - y @ x, kind))
     rhs = _exp_factor(op) * lhs
     if lhs > mid + 1e-9 or mid > rhs + 1e-9:
         raise RuntimeError(
@@ -328,15 +336,17 @@ def verify_abs_bounds(A, X, kind: NormKind) -> dict:
       ||[|A|, X]|| <= (1/2) ||A||_op ||X|| + ||[A, X]||
     (homogeneous forms; the quoted statements assume ||X|| <= 1).
     """
-    a = _as_square(A, "A")
-    spec = hermitian_eig(a)
-    a1 = max(0.0, -float(spec.eigenvalues[0]))
-    a2 = max(0.0, float(spec.eigenvalues[-1]))
-    abs_a = spec.apply(abs)
+    eigenvalues, vectors = hermitian_eig(A)
+    a = np.asarray(A, dtype=np.complex128)
     x = _as_matrix(X, "X")
-    lhs = ui_norm(gen_commutator(abs_a, x, abs_a), kind)
-    comm = ui_norm(gen_commutator(a, x, a), kind)
-    nx = ui_norm(x, kind)
+    if x.shape != a.shape:
+        raise DomainViolation(f"X must be {a.shape[0]} x {a.shape[0]} like A, got {x.shape}")
+    a1 = max(0.0, -float(eigenvalues[0]))
+    a2 = max(0.0, float(eigenvalues[-1]))
+    abs_a = _spectral_apply(np.abs(eigenvalues), vectors)
+    lhs = float(_norm(abs_a @ x - x @ abs_a, kind))
+    comm = float(_norm(a @ x - x @ a, kind))
+    nx = float(_norm(x, kind))
     op_a = max(a1, a2)
     bound_minmax = 2.0 * min(a1, a2) * nx + comm
     bound_half = 0.5 * op_a * nx + comm
@@ -363,7 +373,7 @@ def verify_jensen(Y, f: Callable[[float], float], kind: NormKind) -> tuple[float
     holds when Y is a multiple of the identity.
     """
     y = _as_square(Y, "Y")
-    values = singular_values(y)
+    values = np.linalg.svd(y, compute_uv=False)
     f_values = np.array(sorted((f(float(s)) for s in values), reverse=True))
     lhs = float(_norm_from_singulars(f_values, kind))
     eye_norm = float(_norm_from_singulars(np.ones(y.shape[0]), kind))
@@ -396,10 +406,10 @@ def counterexample_report() -> dict:
     """
     y = _COUNTEREXAMPLE_Y
     a = _COUNTEREXAMPLE_A
-    x = y / ui_norm(y, NormKind.operator())
-    u = unitary_exp(x)
-    sigma_comm = singular_values(gen_commutator(a, x, a))
-    sigma_exp = singular_values(a @ u - u @ a)
+    x = y / float(_norm(y, NormKind.operator()))
+    u = _unitary(*_eigh_hermitian_part(x))
+    sigma_comm = np.linalg.svd(a @ x - x @ a, compute_uv=False)
+    sigma_exp = np.linalg.svd(a @ u - u @ a, compute_uv=False)
 
     def f(t: float) -> float:
         return t / (t + 0.02)
@@ -478,17 +488,7 @@ class CampaignReport:
     skipped: int
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "trials": self.trials,
-            "norm": self.norm,
-            "f": self.f,
-            "max_ratio": self.max_ratio,
-            "argmax": self.argmax,
-            "histogram": self.histogram,
-            "evaluated": self.evaluated,
-            "skipped": self.skipped,
-        }
+        return asdict(self)
 
 
 def _matrix_payload(m: np.ndarray) -> list:
@@ -509,27 +509,24 @@ def _stack_ratios(cfg: CampaignConfig, a, b, x):
     f = _F_TABLE[cfg.f]
 
     def spectra(m):
-        lam, vec = np.linalg.eigh(0.5 * (m + _adjoint(m)))
+        lam, vec = _eigh_hermitian_part(m)
         if cfg.unit_norm_a:
             top = lam[:, -1:]
             return m / top[..., None], lam / top, vec
         return m, lam, vec
 
-    def norms(m):
-        return _norm_from_singulars(np.linalg.svd(m, compute_uv=False), cfg.norm)
-
     a, lam_a, vec_a = spectra(a)
     b, lam_b, vec_b = (a, lam_a, vec_a) if cfg.a_equals_b else spectra(b)
-    nx = norms(x)
+    nx = _norm(x, cfg.norm)
     evaluated = nx != 0.0
     x = x / np.where(evaluated, nx, 1.0)[:, None, None]
-    comm_norm = norms(a @ x - x @ b)
+    comm_norm = _norm(a @ x - x @ b, cfg.norm)
     if cfg.min_commutator is not None:
         evaluated &= comm_norm >= cfg.min_commutator
     fa = _psd_apply(lam_a[evaluated], vec_a[evaluated], f)
     fb = fa if cfg.a_equals_b else _psd_apply(lam_b[evaluated], vec_b[evaluated], f)
     xe = x[evaluated]
-    numerator = norms(fa @ xe - xe @ fb)
+    numerator = _norm(fa @ xe - xe @ fb, cfg.norm)
     denominator = f(comm_norm[evaluated])
     # A vanished denominator gives ratio 0 when the numerator vanishes too
     # (the conjecture is vacuous there); otherwise the trial is skipped.

@@ -295,6 +295,13 @@ class TestClosedFormsCommand:
         assert run(capsys, "closed-forms", "--r", "1.5")[0] == 1
         assert run(capsys, "closed-forms", "--r", "nope")[0] == 1
 
+    def test_bad_r_range_exits_one(self, capsys):
+        # A reversed or non-finite range has no values; it is an error, not an empty table.
+        for spec in ("0.9:0.1:0.1", "nan:0.5:0.1", "0.1:0.5:0", "0.1:0.5"):
+            code, out, _ = run(capsys, "closed-forms", "--csv", "--r", spec)
+            assert code == 1
+            assert out == ""
+
 
 class TestVerifyCommand:
     def test_deterministic_runs(self, capsys, tmp_path):

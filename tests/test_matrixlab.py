@@ -106,32 +106,32 @@ def to_mp(a):
 class TestHermitianEig:
     def test_diagonal_real_matrix(self):
         a = np.diag([3.0, -1.0, 2.0])
-        spec = hermitian_eig(a)
-        assert np.array_equal(spec.eigenvalues, np.array([-1.0, 2.0, 3.0]))
-        perm = np.abs(spec.vectors)
+        eigenvalues, vectors = hermitian_eig(a)
+        assert np.array_equal(eigenvalues, np.array([-1.0, 2.0, 3.0]))
+        perm = np.abs(vectors)
         assert np.array_equal(perm, perm.round())
         assert np.array_equal(perm.sum(axis=0), np.ones(3))
 
     def test_pauli_x(self):
-        spec = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert spec.eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-14)
+        eigenvalues, _ = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert eigenvalues == pytest.approx([-1.0, 1.0], abs=1e-14)
 
     def test_reconstruction_and_orthonormality(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             n = int(rng.integers(1, 11))
             a = random_hermitian(rng, n)
-            spec = hermitian_eig(a)
+            eigenvalues, vectors = hermitian_eig(a)
             scale = fro(a)
-            assert fro(spec.reconstruct() - a) <= 1e-10 * scale
-            assert fro(spec.vectors.conj().T @ spec.vectors - np.eye(n)) <= 1e-10
+            assert fro((vectors * eigenvalues) @ vectors.conj().T - a) <= 1e-10 * scale
+            assert fro(vectors.conj().T @ vectors - np.eye(n)) <= 1e-10
 
     def test_matches_numpy_eigvalsh(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             n = int(rng.integers(1, 11))
             a = random_hermitian(rng, n)
-            mine = hermitian_eig(a).eigenvalues
+            mine, _ = hermitian_eig(a)
             ref = np.linalg.eigvalsh(a)
             assert np.max(np.abs(mine - ref)) <= 1e-9 * max(1.0, np.max(np.abs(ref)))
 
@@ -142,7 +142,7 @@ class TestHermitianEig:
             b = complex(rng.standard_normal(), rng.standard_normal()) * 10.0 ** rng.uniform(-6, 1)
             root = math.sqrt((a - d) ** 2 + 4.0 * abs(b) ** 2)
             exact = [(a + d - root) / 2.0, (a + d + root) / 2.0]
-            mine = hermitian_eig(np.array([[a, b], [b.conjugate(), d]])).eigenvalues
+            mine, _ = hermitian_eig(np.array([[a, b], [b.conjugate(), d]]))
             assert np.max(np.abs(mine - exact)) <= 1e-14 * max(1.0, abs(a), abs(d), root)
 
     def test_matches_mpmath_eighe(self):
@@ -152,28 +152,36 @@ class TestHermitianEig:
                 n = int(rng.integers(1, 7))
                 a = random_hermitian(rng, n)
                 ref = np.array(sorted(float(e) for e in mpmath.mp.eighe(to_mp(a), eigvals_only=True)))
-                mine = hermitian_eig(a).eigenvalues
+                mine, _ = hermitian_eig(a)
                 assert np.max(np.abs(mine - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
     def test_larger_matrix(self):
         rng = np.random.default_rng(3)
         a = random_hermitian(rng, 24)
-        spec = hermitian_eig(a)
-        assert fro(spec.reconstruct() - a) <= 1e-10 * fro(a)
+        eigenvalues, vectors = hermitian_eig(a)
+        assert fro((vectors * eigenvalues) @ vectors.conj().T - a) <= 1e-10 * fro(a)
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         a = random_hermitian(rng, 6)
-        s1 = hermitian_eig(a)
-        s2 = hermitian_eig(a)
-        assert np.array_equal(s1.eigenvalues, s2.eigenvalues)
-        assert np.array_equal(s1.vectors, s2.vectors)
+        values1, vectors1 = hermitian_eig(a)
+        values2, vectors2 = hermitian_eig(a)
+        assert np.array_equal(values1, values2)
+        assert np.array_equal(vectors1, vectors2)
+
+    def test_returns_the_pair_eigh_gives(self):
+        rng = np.random.default_rng(6)
+        a = random_hermitian(rng, 5)
+        eigenvalues, vectors = hermitian_eig(a)
+        ref_values, ref_vectors = np.linalg.eigh(0.5 * (a + a.conj().T))
+        assert np.array_equal(eigenvalues, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
 
     def test_zero_and_scalar(self):
-        spec = hermitian_eig(np.zeros((4, 4)))
-        assert np.array_equal(spec.eigenvalues, np.zeros(4))
-        spec1 = hermitian_eig(np.array([[2.5]]))
-        assert spec1.eigenvalues[0] == 2.5
+        eigenvalues, _ = hermitian_eig(np.zeros((4, 4)))
+        assert np.array_equal(eigenvalues, np.zeros(4))
+        eigenvalues, _ = hermitian_eig(np.array([[2.5]]))
+        assert eigenvalues[0] == 2.5
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
@@ -395,6 +403,22 @@ class TestMatrixFunction:
     def test_rejects_indefinite(self):
         with pytest.raises(DomainViolation):
             matrix_function(np.diag([-0.5, 1.0]), math.sqrt)
+        # The roundoff tolerance is 1e-10 times the largest eigenvalue
+        # (here -1e-4), so -1e-3 is a genuine negative eigenvalue.
+        with pytest.raises(DomainViolation):
+            matrix_function(np.diag([-1e-3, 1e6]), math.sqrt)
+
+    def test_accepts_scaled_rank_deficient_psd(self):
+        # Rank-2 4x4 PSD matrices scaled to norm 1e6: eigh puts their zero
+        # eigenvalues near -1e-10 in absolute terms, which is roundoff at
+        # this scale.
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            m = random_complex(rng, 4, 2)
+            a = m @ m.conj().T
+            a = 1e6 * a / np.linalg.eigvalsh(a)[-1]
+            out = matrix_function(a, math.sqrt)
+            assert fro(out @ out - a) <= 1e-9 * fro(a)
 
 
 class TestUnitaryExp:
@@ -680,6 +704,71 @@ class TestCounterexampleReport:
         expc = report["sigma_exp_commutator"]
         assert comm[0] > expc[0] and comm[1] > expc[1]
         assert comm[2] < expc[2]
+
+
+# Each public entry with a valid argument set (H is Hermitian PSD with
+# operator norm below pi), and the arguments whose math needs them Hermitian.
+_H = np.array([[2.0, 0.5], [0.5, 1.0]])
+_M = np.array([[0.3, 0.1j], [0.2, 0.4]])
+_OP = NormKind.operator()
+BOUNDARY_ENTRIES = {
+    "hermitian_eig": (hermitian_eig, {"A": _H}, ("A",)),
+    "singular_values": (singular_values, {"X": _M}, ()),
+    "ui_norm": (lambda X: ui_norm(X, _OP), {"X": _M}, ()),
+    "matrix_function": (lambda A: matrix_function(A, math.sqrt), {"A": _H}, ("A",)),
+    "unitary_exp": (unitary_exp, {"X": _H}, ("X",)),
+    "gen_commutator": (gen_commutator, {"A": _M, "X": _M, "B": _M}, ()),
+    "doubling_embed": (doubling_embed, {"A": _H, "B": _H, "X": _M}, ("A", "B")),
+    "verify_conjecture_ratio": (
+        lambda A, B, X: verify_conjecture_ratio(A, B, X, f1, _OP),
+        {"A": _H, "B": _H, "X": _M},
+        ("A", "B"),
+    ),
+    "verify_exp_equivalence": (lambda X, Y: verify_exp_equivalence(X, Y, _OP), {"X": _H, "Y": _M}, ("X",)),
+    "verify_abs_bounds": (lambda A, X: verify_abs_bounds(A, X, _OP), {"A": _H, "X": _M}, ("A",)),
+    "verify_jensen": (lambda Y: verify_jensen(Y, math.sqrt, _OP), {"Y": _M}, ()),
+}
+
+
+def _nan_entry(m):
+    out = np.array(m, dtype=np.complex128)
+    out[0, 0] = np.nan
+    return out
+
+
+def boundary_rows():
+    """(entry, argument, bad input, expected error) for every entry and argument.
+
+    A 2 x 3 matrix is valid input to singular_values and ui_norm; a 3 x 3
+    matrix among 2 x 2 ones is a size mismatch.
+    """
+    for entry, (_, good, hermitian) in BOUNDARY_ENTRIES.items():
+        for arg in good:
+            yield entry, arg, "nan", DomainViolation
+            if entry not in ("singular_values", "ui_norm"):
+                yield entry, arg, "2x3", DomainViolation
+            if len(good) > 1:
+                yield entry, arg, "size-mismatch", DomainViolation
+            if arg in hermitian:
+                yield entry, arg, "non-hermitian", NotHermitian
+
+
+BAD_INPUTS = {
+    "nan": _nan_entry,
+    "2x3": lambda m: np.ones((2, 3)),
+    "size-mismatch": lambda m: np.diag([1.0, 2.0, 3.0]),
+    "non-hermitian": lambda m: np.array([[0.0, 1.0], [0.0, 0.0]]),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, arg, bad, error", list(boundary_rows()), ids=lambda v: v if isinstance(v, str) else v.__name__
+)
+def test_boundary_rejects_each_bad_argument(entry, arg, bad, error):
+    call, good, _ = BOUNDARY_ENTRIES[entry]
+    call(**good)
+    with pytest.raises(error):
+        call(**{**good, arg: BAD_INPUTS[bad](good[arg])})
 
 
 def replay_shard(cfg, shard, trials):
