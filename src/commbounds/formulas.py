@@ -6,6 +6,12 @@ best constant for f(x) = x^r at a given r; the pq_* functions evaluate
 the piecewise-quadratic antiderivative construction for f(x) = sqrt(x)
 and f(x) = x/(x+1); the remaining helpers are envelope bounds reused by
 the certificate stitcher.
+
+The f1 search polls the private kernel _pq_f1 on bare floats: it checks
+the knot and slope offset as PiecewiseQuadParams does, but takes c as
+already checked and f1(c) as already computed.  pq_f1_bound is that
+kernel behind one check of c, so a search and the public function agree
+bit for bit.
 """
 
 from __future__ import annotations
@@ -184,32 +190,45 @@ def pq_f1_t_star(p: PiecewiseQuadParams) -> float:
     return -1.0 + (p.a + 1.0) * (1.0 + disc) / (4.0 - 2.0 * p.m * q3)
 
 
+def _pq_f1(c: float, scale: float, a: float, m: float) -> float:
+    """pq_f1_bound on bare floats, given c > 0 and scale = f1(c).
+
+    a and m are checked as PiecewiseQuadParams checks them; everything
+    else repeats pq_f1_t_star and j = f1 - g operation for operation, so
+    the value is pq_f1_bound's bit for bit.
+    """
+    if not (0.0 < a < math.inf and -math.inf < m <= 0.0):
+        PiecewiseQuadParams(a, m)  # raises DomainViolation with the rule broken
+    ap1 = a + 1.0
+    q3 = ap1**3
+    ap1_sq = ap1**2
+    # j(0): 0 < a, and f1(0) = 0.
+    j0 = 0.0 - ((-1.0 / q3 + 0.5 * m) * (0.0 - a) ** 2 + (0.0 - a) / ap1_sq + 1.0 - 1.0 / ap1)
+    disc = math.sqrt(9.0 - 4.0 * m * q3)
+    t_star = -1.0 + ap1 * (1.0 + disc) / (4.0 - 2.0 * m * q3)
+    if t_star > 0.0:
+        if t_star >= a:
+            j_star = 0.0
+        else:
+            g = (-1.0 / q3 + 0.5 * m) * (t_star - a) ** 2 + (t_star - a) / ap1_sq + 1.0 - 1.0 / ap1
+            j_star = t_star / (t_star + 1.0) - g
+        osc = j_star - (0.0 if j0 > 0.0 else j0)  # min(j0, 0.0)
+    else:
+        osc = j0
+    gp0 = a * (2.0 / q3 - m) + 1.0 / ap1_sq
+    return (osc + c * gp0) / scale
+
+
 def pq_f1_bound(c: float, p: PiecewiseQuadParams) -> float:
     """Piecewise-quadratic bound (osc + c g'(0))/f1(c) for f1 = x/(x+1).
 
     The oscillation of j = f1 - g splits on the sign of the interior
     critical point t*: for t* > 0 it is j(t*) - min(j(0), 0); otherwise
     j decreases on [0, a) and the oscillation is j(0).  Closed form, no
-    root finding.
+    root finding: the private kernel _pq_f1 behind one check of c.
     """
     c = _check_positive(c, "c")
-    a, m = p.a, p.m
-    ap1 = a + 1.0
-    q3 = ap1**3
-
-    def j(x: float) -> float:
-        if x >= a:
-            return 0.0
-        g = (-1.0 / q3 + 0.5 * m) * (x - a) ** 2 + (x - a) / ap1**2 + 1.0 - 1.0 / ap1
-        return f1(x) - g
-
-    t_star = pq_f1_t_star(p)
-    if t_star > 0.0:
-        osc = j(t_star) - min(j(0.0), 0.0)
-    else:
-        osc = j(0.0)
-    gp0 = a * (2.0 / q3 - m) + 1.0 / ap1**2
-    return (osc + c * gp0) / f1(c)
+    return _pq_f1(c, f1(c), p.a, p.m)
 
 
 def optimize_pq_f1(
@@ -217,16 +236,17 @@ def optimize_pq_f1(
 ) -> tuple[float, PiecewiseQuadParams]:
     """Minimize pq_f1_bound(c, .) over a > 0, m <= 0 by pattern search.
 
-    Returns (bound at the winner, winner).  Deterministic given start;
+    Returns (bound at the winner, winner).  The search polls the kernel
+    _pq_f1 with c checked and f1(c) computed once; the returned bound is
+    pq_f1_bound's value at the winner.  Deterministic given start;
     callers chasing a c-grid can chain each node's winner into the next
     node's start.
     """
     c = _check_positive(c, "c")
-
-    def objective(t: tuple[float, ...]) -> float:
-        return pq_f1_bound(c, PiecewiseQuadParams(t[0], t[1]))
-
-    best = pattern_search_nd(objective, start, lower=(1e-8, None), upper=(None, 0.0))
+    scale = f1(c)
+    best = pattern_search_nd(
+        lambda t: _pq_f1(c, scale, t[0], t[1]), start, lower=(1e-8, None), upper=(None, 0.0)
+    )
     params = PiecewiseQuadParams(best[0], best[1])
     return pq_f1_bound(c, params), params
 

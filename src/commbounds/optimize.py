@@ -95,27 +95,44 @@ def pattern_search_nd(
     first-improvement acceptance.  The objective must return a penalty
     such as inf (rather than raise) on inputs it dislikes.  Returns the best
     point seen, which is never worse than the clamped start.
+
+    start must be non-empty and finite, also once clamped, and lower and
+    upper as long as start.  A poll moves one coordinate of the clamped
+    best point, so it clamps and checks only that coordinate.
     """
     dim = len(start)
     lower = tuple(lower) if lower is not None else (None,) * dim
     upper = tuple(upper) if upper is not None else (None,) * dim
-    best = _clamp(tuple(float(v) for v in start), lower, upper)
+    if dim == 0:
+        raise DomainViolation("start must have at least one coordinate")
+    if len(lower) != dim or len(upper) != dim:
+        raise DomainViolation(
+            f"lower and upper must have {dim} entries like start, got {len(lower)} and {len(upper)}"
+        )
+    start = tuple(float(v) for v in start)
+    best = _clamp(start, lower, upper)
+    if not all(math.isfinite(v) for v in start + best):
+        raise DomainViolation(f"start and its clamp into the bounds must be finite, got {start}")
+    bounds = tuple(enumerate(zip(lower, upper)))
     f_best = objective(best)
     evals = 1
     step = _INITIAL_STEP
     while step >= _MIN_STEP and evals < _MAX_EVALS:
         improved = False
-        for axis in range(dim):
+        for axis, (lo, hi) in bounds:
             for sign in (1.0, -1.0):
-                cand = list(best)
-                cand[axis] += sign * step
-                cand_t = _clamp(tuple(cand), lower, upper)
-                if cand_t == best or not all(math.isfinite(v) for v in cand_t):
+                value = best[axis] + sign * step
+                if lo is not None and value < lo:
+                    value = lo
+                if hi is not None and value > hi:
+                    value = hi
+                if value == best[axis] or not math.isfinite(value):
                     continue
-                value = objective(cand_t)
+                cand = best[:axis] + (value,) + best[axis + 1 :]
+                f_cand = objective(cand)
                 evals += 1
-                if value < f_best:
-                    best, f_best = cand_t, value
+                if f_cand < f_best:
+                    best, f_best = cand, f_cand
                     improved = True
                     break
                 if evals >= _MAX_EVALS:

@@ -1,10 +1,12 @@
 """Tests for the closed-form constants and small minimizations."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from commbounds import formulas
 from commbounds.approx import DomainViolation, f1
 from commbounds.formulas import (
     PiecewiseQuadParams,
@@ -295,8 +297,84 @@ class TestPqF1:
         assert optimize_pq_f1(0.7) == optimize_pq_f1(0.7)
 
     def test_domain(self):
+        for c in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(DomainViolation):
+                pq_f1_bound(c, PiecewiseQuadParams(1.0, 0.0))
         with pytest.raises(DomainViolation):
-            pq_f1_bound(0.0, PiecewiseQuadParams(1.0, 0.0))
+            optimize_pq_f1(0.5, start=(math.nan, -0.01))
+
+    @pytest.mark.parametrize(
+        "a, m",
+        [
+            (0.0, 0.0),
+            (-1.0, 0.0),
+            (math.inf, 0.0),
+            (math.nan, 0.0),
+            (1.0, 0.1),
+            (1.0, -math.inf),
+            (1.0, math.nan),
+        ],
+    )
+    def test_kernel_keeps_the_params_checks(self, a, m):
+        with pytest.raises(DomainViolation):
+            PiecewiseQuadParams(a, m)
+        with pytest.raises(DomainViolation):
+            formulas._pq_f1(1.0, f1(1.0), a, m)
+
+    def test_bound_matches_the_closure_formula_bit_for_bit(self):
+        def closure_bound(c, p):
+            # pq_f1_bound as it was written before the bare-float kernel.
+            a, m = p.a, p.m
+            ap1 = a + 1.0
+            q3 = ap1**3
+
+            def j(x):
+                if x >= a:
+                    return 0.0
+                g = (-1.0 / q3 + 0.5 * m) * (x - a) ** 2 + (x - a) / ap1**2 + 1.0 - 1.0 / ap1
+                return f1(x) - g
+
+            t_star = pq_f1_t_star(p)
+            if t_star > 0.0:
+                osc = j(t_star) - min(j(0.0), 0.0)
+            else:
+                osc = j(0.0)
+            gp0 = a * (2.0 / q3 - m) + 1.0 / ap1**2
+            return (osc + c * gp0) / f1(c)
+
+        rng = np.random.default_rng(20261018)
+        cs = np.geomspace(1e-3, 1e3, 40)
+        # Knots from 1e-8 to 1e6 and offsets from -3e3 to 0, fixed ends included.
+        knots = np.concatenate(
+            [[1e-8, 1e-3, 0.1, 1.0, 8.0, 1e6], np.exp(rng.uniform(-18.4, 13.8, 60))]
+        )
+        offsets = np.concatenate(
+            [[0.0, -1e-9, -0.01, -1.0, -100.0], -np.exp(rng.uniform(-20.0, 8.0, 30))]
+        )
+        cases = [PiecewiseQuadParams(float(a), float(m)) for a in knots for m in offsets]
+        t_stars = [pq_f1_t_star(p) for p in cases]
+        assert any(t <= 0.0 for t in t_stars)
+        assert any(t >= p.a for t, p in zip(t_stars, cases))
+        assert any(0.0 < t < p.a for t, p in zip(t_stars, cases))
+        for p in cases:
+            for c in rng.choice(cs, 3):
+                assert pq_f1_bound(float(c), p) == closure_bound(float(c), p), (c, p)
+
+    def test_search_returns_the_public_bound_at_its_winner(self):
+        for c in (0.01, 0.28, 1.0, 15.0):
+            bound, params = optimize_pq_f1(c)
+            assert bound == pq_f1_bound(c, params)
+
+    def test_chained_search_bits(self):
+        # Criterion 4's chain on every 100th node from k = 1; the digest
+        # was computed before the search moved to the bare-float kernel.
+        start, records = (1.0, -0.01), []
+        for c in [k / 1000.0 for k in range(1, 15001, 100)]:
+            bound, params = optimize_pq_f1(c, start=start)
+            records.append(" ".join(x.hex() for x in (c, bound, params.a, params.m)))
+            start = (params.a, params.m)
+        digest = hashlib.sha256("\n".join(records).encode()).hexdigest()
+        assert digest == "66c4b6fec5da17dfd556c0d95821fce53b538e67d650637e37f0c3de754e1e9a"
 
 
 class TestEnvelopes:

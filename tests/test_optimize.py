@@ -145,6 +145,23 @@ class TestPatternSearch:
         )
         assert capped[1] == 0.0
 
+    @pytest.mark.parametrize(
+        "start, lower, upper",
+        [
+            ((1.0, 2.0), (0.5,), None),
+            ((1.0, 2.0), None, (None, 3.0, 4.0)),
+            ((), None, None),
+            ((1.0, math.nan), None, None),
+            ((math.inf, 1.0), None, (0.0, None)),
+            ((1.0, 1.0), (None, math.inf), None),
+        ],
+    )
+    def test_nd_rejects_bad_arguments_before_any_poll(self, start, lower, upper):
+        calls = []
+        with pytest.raises(DomainViolation):
+            pattern_search_nd(lambda t: calls.append(t) or 0.0, start, lower=lower, upper=upper)
+        assert calls == []
+
 
 class TestPaperGrid:
     def test_endpoints_and_counts(self):
