@@ -31,6 +31,7 @@ from commbounds.approx import (
     NoSignChange,
     RootValidationFailed,
     certify_mixture,
+    certify_mixtures,
     erf_min_bound,
     f1,
 )
@@ -120,6 +121,7 @@ __all__ = [
     "build_paper_grid",
     "certify_grid",
     "certify_mixture",
+    "certify_mixtures",
     "continuity_lift",
     "corner_large",
     "corner_small",

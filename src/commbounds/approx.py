@@ -18,15 +18,19 @@ g'(x) = sum_k w_k exp(-b_k x^2) with every w_k >= 0, g' is positive
 definite, its Schur bound is g'(0) = sum_k w_k, and the oscillation of
 j = f1 - g is enclosed by interval subdivision with a second-derivative
 bound, a monotone tail bound and an explicit floating-point margin.
+`certify_mixtures` encloses a whole list of mixtures in one batched pass
+that shares the work on their common initial sample; each enclosure is
+the one its mixture gets alone, bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf_array
@@ -53,6 +57,7 @@ __all__ = [
     "erf_min_bound",
     "mixture_residual",
     "certify_mixture",
+    "certify_mixtures",
     "node_value",
 ]
 
@@ -379,7 +384,15 @@ def mixture_residual(x, params: MixtureParams) -> np.ndarray:
 
 
 def certify_mixture(params: MixtureParams) -> MixtureCertificate:
-    """Enclose the range of j = f1 - g on [0, inf) for a mixture kernel.
+    """Enclose the range of j = f1 - g on [0, inf) for one mixture kernel.
+
+    This is certify_mixtures([params])[0]; see there for the method.
+    """
+    return certify_mixtures([params])[0]
+
+
+def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertificate]:
+    """Enclose the range of j = f1 - g on [0, inf) for each mixture kernel.
 
     [0, 1e12] is split into cells [l, r].  On a cell j stays within
     (r - l)^2 / 8 * max|j''| of its chord, and since
@@ -397,50 +410,150 @@ def certify_mixture(params: MixtureParams) -> MixtureCertificate:
     most 1 + g(inf); the enclosure is widened by 256 ulps of
     (K + 2) * (1 + g(inf)), far above that rounding error.  The chord
     slack is inflated by 2^-20 for the rounding in its own evaluation.
+
+    The kernels are certified together.  They all start from the same
+    2001-point sample, so erf and the curvature factors there are
+    evaluated once per distinct width and shared.  Every cell carries the
+    index of its kernel, and all kernels are refined in the same rounds.
+    A sum over a kernel's K terms is taken only among kernels of the same
+    K, laid out as a lone kernel's terms are, so numpy adds them in the
+    same order; maxima and minima are exact.  Each certificate is
+    therefore the one its kernel gets alone, bit for bit, whatever else
+    is in the batch.
     """
-    w = np.asarray(params.w)
-    b = np.asarray(params.b)
-    peak = 1.0 / np.sqrt(2.0 * b)
-
-    def cell_bounds(lo, hi, j_lo, j_hi):
-        y = np.clip(peak, lo[:, None], hi[:, None])
-        bump = (2.0 * w * b * y * np.exp(-b * y * y)).sum(axis=1)
-        curvature = np.maximum(2.0 / (lo + 1.0) ** 3, bump)
-        slack = curvature * (hi - lo) ** 2 * (0.125 * (1.0 + 2.0**-20))
-        return np.maximum(j_lo, j_hi) + slack, np.minimum(j_lo, j_hi) - slack
-
+    params_seq = list(params_seq)
+    if not params_seq:
+        return []
+    # Kernels are numbered by size K, so each size owns a run of numbers.
+    order = sorted(range(len(params_seq)), key=lambda i: len(params_seq[i].b))
+    kernels = [params_seq[i] for i in order]
+    count = len(kernels)
+    widths, column = np.unique(np.concatenate([p.b for p in kernels]), return_inverse=True)
     xs = np.concatenate(([0.0], np.geomspace(1e-6, _TAIL_START, _INITIAL_POINTS)))
-    values = mixture_residual(xs, params)
-    top, bottom = values.max(), values.min()
-    lo, hi, j_lo, j_hi = xs[:-1], xs[1:], values[:-1], values[1:]
-    upper, lower = -math.inf, math.inf
+    y0 = np.clip(1.0 / np.sqrt(2.0 * widths), xs[:-1, None], xs[1:, None])
+    erf0 = _erf_array(np.multiply.outer(xs, np.sqrt(widths)))
+    exp0 = np.exp(-widths * y0 * y0)
+    # Past the last row where it is below 1 (above 0) for some width, erf0
+    # (exp0) is saturated, and a kernel's terms there are its masses (zeros).
+    erf_live = xs.size - np.argmax((erf0 != 1.0)[::-1], axis=0)
+    exp_live = y0.shape[0] - np.argmax((exp0 != 0.0)[::-1], axis=0)
+
+    runs, values, bump, g_inf, g_tail, margin = [], [], [], [], [], []
+    sizes = [len(p.b) for p in kernels]
+    offset = 0
+    for size, run in itertools.groupby(range(count), key=sizes.__getitem__):
+        run = list(run)
+        col = column[offset : offset + size * len(run)].reshape(len(run), size)
+        offset += col.size
+        w, b = np.array([kernels[k].w for k in run]), widths[col]
+        mass = 0.5 * w * np.sqrt(np.pi / b)
+        weight = 2.0 * w * b
+        # Per-term factors of a kernel, gathered for a cell by one index.
+        runs.append((run[0], np.stack((np.sqrt(b), mass, 1.0 / np.sqrt(2.0 * b), weight, -b), axis=1)))
+        g_inf.append(mass.sum(axis=-1))
+        g_tail.append((_erf_array(np.sqrt(b) * _TAIL_START) * mass).sum(axis=-1))
+        margin.append(_FP_ULPS * (size + 2) * _EPS * (1.0 + g_inf[-1]))
+        erf_sums = _sample_sums(col, erf_live[col].max(), g_inf[-1][:, None], mass, erf0)
+        values.append(xs / (xs + 1.0) - erf_sums)
+        bump.append(_sample_sums(col, exp_live[col].max(), 0.0, weight, y0, exp0))
+    first = np.array([start for start, _ in runs])
+
+    # Round 0 runs on the shared cells of xs: the cell arrays are rows, one
+    # per kernel, and owner, lo and hi are broadcast against them.  Later
+    # rounds keep the cells sorted by owner, so each size is one slice.
+    values, bump = np.concatenate(values), np.concatenate(bump)
+    top, bottom = values.max(axis=1), values.min(axis=1)
+    owner, lo, hi = np.arange(count)[:, None], xs[:-1], xs[1:]
+    j_lo, j_hi = values[:, :-1], values[:, 1:]
+    upper, lower = np.full(count, -math.inf), np.full(count, math.inf)
     for _ in range(_MAX_ROUNDS):
-        cell_hi, cell_lo = cell_bounds(lo, hi, j_lo, j_hi)
+        cell_hi, cell_lo = _cell_bounds(lo, hi, j_lo, j_hi, bump)
         mid = 0.5 * (lo + hi)
-        split = ((cell_hi > top + _REFINE_TOL) | (cell_lo < bottom - _REFINE_TOL)) & (lo < mid) & (mid < hi)
-        if not split.all():
-            upper = max(upper, cell_hi[~split].max())
-            lower = min(lower, cell_lo[~split].min())
+        split = (
+            (cell_hi > (top + _REFINE_TOL)[owner]) | (cell_lo < (bottom - _REFINE_TOL)[owner])
+        ) & (lo < mid) & (mid < hi)
+        if split.ndim > 1:
+            owner, lo, hi, mid = (np.broadcast_to(v, split.shape) for v in (owner, lo, hi, mid))
+        done = ~split
+        finished = owner[done]
+        np.maximum.at(upper, finished, cell_hi[done])
+        np.minimum.at(lower, finished, cell_lo[done])
         if not split.any():
             break
-        lo, hi, j_lo, j_hi, mid = lo[split], hi[split], j_lo[split], j_hi[split], mid[split]
-        j_mid = mixture_residual(mid, params)
-        top, bottom = max(top, j_mid.max()), min(bottom, j_mid.min())
-        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        j_lo, j_hi = np.concatenate((j_lo, j_mid)), np.concatenate((j_mid, j_hi))
+        owner, lo, hi, j_lo, j_hi, mid = (v[split] for v in (owner, lo, hi, j_lo, j_hi, mid))
+        # Each split cell becomes its two halves, side by side, so the cells
+        # stay sorted by owner.
+        lo, hi = np.column_stack((lo, mid)), np.column_stack((mid, hi))
+        j_mid, bump = _bisect(runs, np.searchsorted(owner, first), owner, lo, hi)
+        np.maximum.at(top, owner, j_mid)
+        np.minimum.at(bottom, owner, j_mid)
+        owner, lo, hi = np.repeat(owner, 2), lo.ravel(), hi.ravel()
+        j_lo, j_hi = np.column_stack((j_lo, j_mid)).ravel(), np.column_stack((j_mid, j_hi)).ravel()
     else:
-        cell_hi, cell_lo = cell_bounds(lo, hi, j_lo, j_hi)
-        upper, lower = max(upper, cell_hi.max()), min(lower, cell_lo.min())
+        cell_hi, cell_lo = _cell_bounds(lo, hi, j_lo, j_hi, bump)
+        owner = np.broadcast_to(owner, cell_hi.shape)
+        np.maximum.at(upper, owner, cell_hi)
+        np.minimum.at(lower, owner, cell_lo)
 
-    mass = 0.5 * w * np.sqrt(np.pi / b)
-    g_inf = float(mass.sum())
-    g_tail = float((_erf_array(np.sqrt(b) * _TAIL_START) * mass).sum())
-    upper = max(upper, 1.0 - g_tail)
-    lower = min(lower, f1(_TAIL_START) - g_inf)
-    margin = _FP_ULPS * (len(w) + 2) * _EPS * (1.0 + g_inf)
-    high = float(_up(upper + margin))
-    low = float(-_up(margin - lower))
-    return MixtureCertificate(low, high, float(_up(high - low)), float(_up(math.fsum(params.w))))
+    g_inf, g_tail, margin = np.concatenate(g_inf), np.concatenate(g_tail), np.concatenate(margin)
+    upper = np.maximum(upper, 1.0 - g_tail)
+    lower = np.minimum(lower, f1(_TAIL_START) - g_inf)
+    high = _up(upper + margin)
+    low = -_up(margin - lower)
+    osc = _up(high - low)
+    certificates: list[MixtureCertificate] = [None] * count  # type: ignore[list-item]
+    for i, params, low_k, high_k, osc_k in zip(order, kernels, low, high, osc):
+        certificates[i] = MixtureCertificate(
+            float(low_k), float(high_k), float(osc_k), float(_up(math.fsum(params.w)))
+        )
+    return certificates
+
+
+def _sample_sums(col, live, saturated, factor, table, other=None):
+    """sum_k factor_k * table[:, col_k] (* other[:, col_k]) as (kernels, rows).
+
+    col and factor are (kernels, K).  Rows from live on are set to
+    saturated instead.  The terms are laid out (rows, kernels, K) with K
+    innermost, like a lone kernel's (rows, K) array, so numpy adds each
+    row in the same order, and the products are taken in the order
+    (table * factor) * other.
+    """
+    count, size = col.shape
+    out = np.empty((count, table.shape[0]))
+    out[:, live:] = saturated
+    terms = np.take(table[:live], col.ravel(), axis=1)
+    terms *= factor.ravel()
+    if other is not None:
+        terms *= np.take(other[:live], col.ravel(), axis=1)
+    out[:, :live] = terms.reshape(live, count, size).sum(axis=-1).T
+    return out
+
+
+def _cell_bounds(lo, hi, j_lo, j_hi, bump):
+    curvature = np.maximum(2.0 / (lo + 1.0) ** 3, bump)
+    slack = curvature * (hi - lo) ** 2 * (0.125 * (1.0 + 2.0**-20))
+    return np.maximum(j_lo, j_hi) + slack, np.minimum(j_lo, j_hi) - slack
+
+
+def _bisect(runs, edges, owner, lo, hi):
+    """j at the midpoints of cells sorted by owner, and the bumps of their halves.
+
+    lo and hi are (cells, 2): the left and the right half of each cell.
+    runs holds each size's first kernel and per-term factors, and edges
+    the index of each run's first cell.
+    """
+    mid = lo[:, 1]
+    sums = np.empty(mid.size)
+    bump = np.empty(lo.shape)
+    for (start, factors), i, j in zip(runs, edges, [*edges[1:], mid.size]):
+        if i == j:
+            continue
+        f = factors[owner[i:j] - start]
+        sums[i:j] = (_erf_array(mid[i:j, None] * f[:, 0]) * f[:, 1]).sum(axis=-1)
+        f = f[:, None]
+        y = np.minimum(np.maximum(f[..., 2, :], lo[i:j, :, None]), hi[i:j, :, None])
+        bump[i:j] = (f[..., 3, :] * y * np.exp(f[..., 4, :] * y * y)).sum(axis=-1)
+    return mid / (mid + 1.0) - sums, bump.ravel()
 
 
 def node_value(c, osc, L):

@@ -184,8 +184,16 @@ def parse_norm(text: str) -> NormKind:
     )
 
 
+# The most values one start:stop:step range may make.
+_MAX_RANGE_VALUES = 10**7
+
+
 def _parse_range(spec: str, what: str) -> list[float]:
-    """start:stop:step as start + k*step for k = 0, 1, ... up to stop + 1e-12."""
+    """start:stop:step as start + k*step for k = 0, 1, ... up to stop + 1e-12.
+
+    A range of more than _MAX_RANGE_VALUES values is rejected before any
+    is made, and so is a step too small to move start in floating point.
+    """
     parts = spec.split(":")
     if len(parts) != 3:
         raise UsageError(f"bad {what} {spec!r}; expected start:stop:step")
@@ -195,9 +203,12 @@ def _parse_range(spec: str, what: str) -> list[float]:
         raise UsageError(f"bad {what} {spec!r}: {exc}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise UsageError(f"{what} {spec!r} requires finite start <= stop and step > 0")
+    limit = stop + 1e-12
+    if start + step == start or (limit - start) / step > _MAX_RANGE_VALUES:
+        raise UsageError(f"{what} {spec!r} makes more than {_MAX_RANGE_VALUES} values")
     values = []
     k = 0
-    while start + k * step <= stop + 1e-12:
+    while start + k * step <= limit:
         values.append(start + k * step)
         k += 1
     return values

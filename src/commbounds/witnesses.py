@@ -4,7 +4,8 @@ A witness is an approximant g of f1(x) = x / (x + 1) whose derivative
 g'(x) = sum_k w_k exp(-b_k x^2) has positive weights.  The committed
 table `mixture_witnesses.json` holds one witness per fitting node c; it
 holds proofs, not results: every constant derived from it is certified
-again by `commbounds.approx.certify_mixture` when the program runs.
+again, each time `commbounds.optimize.certify_grid` runs, by one batched
+`commbounds.approx.certify_mixtures` pass over the whole table.
 
 Each witness minimizes osc(f1 - g) + c * g'(0) over the weights of 120
 fixed widths b_k, log-spaced on [1e-8, 1e3], with the oscillation

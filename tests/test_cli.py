@@ -8,8 +8,13 @@ capsys and files land in tmp_path.  Exit code convention under test:
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import commbounds
 
 from commbounds.approx import GaussianParams, erf_min_bound
 from commbounds.cli import ParameterTable, UsageError, main, parse_norm
@@ -200,6 +205,51 @@ class TestCertifyCommand:
                 capsys, "certify", "--grid", spec, "--out", str(tmp_path / "x.json")
             )
             assert code == 1
+
+
+def run_process(*argv):
+    """Run the CLI in a child process with 1 GiB of address space and 60 s.
+
+    A range that never ends would hang an in-process call and fill memory;
+    in the child it fails instead.
+    """
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    source = str(Path(commbounds.__file__).resolve().parent.parent)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH")))),
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "commbounds.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=env,
+        preexec_fn=limit_memory,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # start + k*step == start for every k: the range loop never ended.
+        ("certify", "--grid", "0.1:40:1e-300"),
+        ("closed-forms", "--r", "0.5:0.5:1e-300"),
+        # 8e11 values.
+        ("closed-forms", "--r", "0.1:0.9:1e-12"),
+    ],
+)
+def test_range_with_too_many_values_exits_one(tmp_path, argv):
+    result = run_process(*argv, *(("--out", str(tmp_path / "x.json")) if argv[0] == "certify" else ()))
+    assert result.returncode == 1, result.stderr
+    assert "more than 10000000 values" in result.stderr
+    assert result.stdout == ""
 
 
 class TestSqrtConstCommand:
