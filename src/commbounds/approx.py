@@ -459,8 +459,9 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
     first = np.array([start for start, _ in runs])
 
     # Round 0 runs on the shared cells of xs: the cell arrays are rows, one
-    # per kernel, and owner, lo and hi are broadcast against them.  Later
-    # rounds keep the cells sorted by owner, so each size is one slice.
+    # per kernel, owner, lo and hi are broadcast against them, and upper
+    # and lower are row maxima and minima.  Later rounds keep the cells
+    # sorted by owner, so each size is one slice.
     values, bump = np.concatenate(values), np.concatenate(bump)
     top, bottom = values.max(axis=1), values.min(axis=1)
     owner, lo, hi = np.arange(count)[:, None], xs[:-1], xs[1:]
@@ -472,12 +473,15 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
         split = (
             (cell_hi > (top + _REFINE_TOL)[owner]) | (cell_lo < (bottom - _REFINE_TOL)[owner])
         ) & (lo < mid) & (mid < hi)
-        if split.ndim > 1:
-            owner, lo, hi, mid = (np.broadcast_to(v, split.shape) for v in (owner, lo, hi, mid))
         done = ~split
-        finished = owner[done]
-        np.maximum.at(upper, finished, cell_hi[done])
-        np.minimum.at(lower, finished, cell_lo[done])
+        if split.ndim > 1:
+            upper = np.where(done, cell_hi, -math.inf).max(axis=1)
+            lower = np.where(done, cell_lo, math.inf).min(axis=1)
+            owner, lo, hi, mid = (np.broadcast_to(v, split.shape) for v in (owner, lo, hi, mid))
+        else:
+            finished = owner[done]
+            np.maximum.at(upper, finished, cell_hi[done])
+            np.minimum.at(lower, finished, cell_lo[done])
         if not split.any():
             break
         owner, lo, hi, j_lo, j_hi, mid = (v[split] for v in (owner, lo, hi, j_lo, j_hi, mid))
@@ -561,5 +565,13 @@ def node_value(c, osc, L):
 
     Every operation is rounded upward, so the result is at least the
     exact value for the given floats.  Broadcasts over numpy arrays.
+    Every entry of c must be positive and finite, and every entry of osc
+    and L nonnegative and finite, or DomainViolation is raised: outside
+    that domain the upward roundings bound nothing.
     """
+    in_domain = np.all(np.isfinite(c) & (c > 0.0))
+    if not (in_domain and all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (osc, L))):
+        raise DomainViolation(
+            f"node_value needs c > 0 and osc, L >= 0, all finite; got c={c!r}, osc={osc!r}, L={L!r}"
+        )
     return _up(_up(_up(osc + _up(c * L)) * _up(c + 1.0)) / c)

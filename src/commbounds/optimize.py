@@ -16,11 +16,16 @@ bit for bit.
 `certify_grid` is the search-free certifier: it certifies the committed
 Gaussian-mixture witnesses in one batched `certify_mixtures` pass, and
 every node takes their lower envelope and the resolvent bound 1 + c.
+The envelope evaluates the upward-rounded node_value only on the
+witnesses whose plain osc + c*L is within 64 ulps (relative) of the
+node's least: rounding moves neither quantity far enough for any other
+witness to win or tie (the argument is in certify_grid's docstring).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -57,6 +62,11 @@ _EXPAND = 2.0
 _MIN_STEP = 1e-9
 _MAX_EVALS = 20000
 _LOWER_BOUNDS = (1e-8, 1e-8)
+
+# certify_grid evaluates node_value only where the plain osc + c*L is
+# within this many ulps (relative) of the node's least; see there.
+_PRUNE_ULPS = 64
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -233,11 +243,25 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     The oscillation and amplitude of a witness do not depend on c, so
     each call certifies the whole table once, in one certify_mixtures
     pass, and keeps nothing for the next call.  A node's constant is the
-    smallest node_value over the witnesses, or the resolvent bound 1 + c
-    (rounded upward) when that is smaller.  The resolvent bound follows from
+    smallest node_value over the witnesses, the first witness winning a
+    tie, or the resolvent bound 1 + c (rounded upward) when that is
+    smaller.  The resolvent bound follows from
     f1(A)X - X f1(B) = (A+1)^-1 (AX - XB) (B+1)^-1 and is reported with
     params None.  Nodes are independent, so each constant does not
     depend on the order of the grid; points come back in grid order.
+
+    node_value is evaluated only on the witnesses that can win a node.
+    With E = osc + cL exact, the plain float h = osc + c*L is within a
+    factor 1 +- eps of E, both terms being nonnegative, and node_value,
+    five operations each rounded upward, lies between E (c+1)/c and
+    (1 + 8 eps) E (c+1)/c; osc is at least the certifier's margin, so the
+    absolute error of a subnormal c*L does not count.  A witness whose h
+    exceeds the node's least h by a factor above 1 + 64 eps (_PRUNE_ULPS
+    ulps) therefore has a node_value above the least one: it can neither
+    win nor tie.  The pruned pairs get inf, and argmin picks the witness
+    it picks among every node_value; when even the least node_value
+    overflows to inf, every one does, and it picks the first witness
+    either way.
     """
     cs = np.array([float(c) for c in grid])
     if not np.all(np.isfinite(cs) & (cs > 0.0)):
@@ -248,13 +272,16 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     certificates = certify_mixtures(witnesses)
     osc = np.array([cert.osc for cert in certificates])
     amplitude = np.array([cert.L for cert in certificates])
-    values = node_value(cs[:, None], osc, amplitude)
+    h = np.multiply.outer(cs, amplitude)
+    h += osc
+    kept = np.flatnonzero(h <= h.min(axis=1, keepdims=True) * (1.0 + _PRUNE_ULPS * _EPS))
+    rows, cols = divmod(kept, osc.size)
+    values = np.full(h.shape, np.inf)
+    values.flat[kept] = node_value(cs[rows], osc[cols], amplitude[cols])
     best = values.argmin(axis=1)
     envelope = values[np.arange(cs.size), best]
     resolvent = np.nextafter(cs + 1.0, np.inf)
     return [
-        BoundPoint(float(c), float(r), None)
-        if r < m
-        else BoundPoint(float(c), float(m), witnesses[k])
-        for c, k, m, r in zip(cs, best, envelope, resolvent)
+        BoundPoint(c, r, None) if r < m else BoundPoint(c, m, witnesses[k])
+        for c, k, m, r in zip(cs.tolist(), best.tolist(), envelope.tolist(), resolvent.tolist())
     ]

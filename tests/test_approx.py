@@ -1,6 +1,8 @@
 """Tests for the Gaussian-antiderivative bound, with independent oracles."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from commbounds.approx import (
     j_func,
     j_limit,
     j_prime,
+    node_value,
     phi,
     x_end,
     x_star,
@@ -365,3 +368,51 @@ class TestErfMinBound:
         assert isinstance(out, ErfMinOutcome)
         with pytest.raises(AttributeError):
             out.value = 0.0
+
+
+class TestNodeValue:
+    @staticmethod
+    def exact(c, osc, L):
+        c, osc, L = Fraction(c), Fraction(osc), Fraction(L)
+        return (osc + c * L) * (c + 1) / c
+
+    def test_scalar_bounds_the_exact_value(self):
+        for c, osc, L in [(0.3, 0.01, 0.9), (1e-6, 0.0, 2.0), (40.0, 0.5, 0.0), (1e300, 1e-3, 1e-300)]:
+            value = node_value(c, osc, L)
+            assert Fraction(float(value)) >= self.exact(c, osc, L)
+            assert value <= float(self.exact(c, osc, L)) * (1.0 + 1e-14)
+
+    def test_array_matches_scalars(self):
+        rng = np.random.default_rng(5)
+        c = 10.0 ** rng.uniform(-3.0, 2.0, 50)
+        osc, L = rng.uniform(0.0, 1.0, 50), rng.uniform(0.0, 2.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = node_value(c[:, None], osc, L)
+        assert values.shape == (50, 50)
+        assert values[7, 3] == node_value(float(c[7]), float(osc[3]), float(L[3]))
+
+    @pytest.mark.parametrize(
+        "c, osc, L",
+        [
+            (-1.0, 0.1, 1.0),
+            (1.0, -5.0, 1.0),
+            (0.0, 0.1, 1.0),
+            (1.0, 0.1, -1e-300),
+            (math.inf, 0.1, 1.0),
+            (1.0, math.nan, 1.0),
+            (1.0, 0.1, math.inf),
+        ],
+    )
+    def test_scalar_outside_the_domain(self, c, osc, L):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainViolation):
+                node_value(c, osc, L)
+
+    @pytest.mark.parametrize("position", ["c", "osc", "L"])
+    def test_array_with_one_bad_entry(self, position):
+        args = {"c": np.linspace(0.1, 2.0, 20), "osc": np.full(20, 0.01), "L": np.ones(20)}
+        args[position][11] = -0.5 if position != "c" else 0.0
+        with pytest.raises(DomainViolation):
+            node_value(args["c"], args["osc"], args["L"])

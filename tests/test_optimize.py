@@ -1,6 +1,7 @@
 """Tests for the pattern search and the grid certification driver."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from commbounds import optimize
 from commbounds.approx import (
     DomainViolation,
     GaussianParams,
+    MixtureCertificate,
     MixtureParams,
     NoSignChange,
     RootValidationFailed,
@@ -24,6 +26,7 @@ from commbounds.optimize import (
     pattern_search,
     pattern_search_nd,
 )
+from commbounds.witnesses import load_witnesses
 
 
 def penalized_bound(c):
@@ -73,6 +76,75 @@ def reference_grid(grid):
         points.append(BoundPoint(c, value, best, value == math.inf))
         start = best
     return points, polls
+
+
+def full_envelope(cs, osc, L):
+    """certify_grid's envelope over every (node, witness) pair, as it was before pruning.
+
+    node_value on every pair, argmin (first index on ties), then the
+    resolvent cap.  Returns (C_k, witness index or None) per node.
+    """
+    values = node_value(cs[:, None], osc, L)
+    best = values.argmin(axis=1)
+    envelope = values[np.arange(cs.size), best]
+    resolvent = np.nextafter(cs + 1.0, np.inf)
+    return [(float(r), None) if r < m else (float(m), int(k)) for k, m, r in zip(best, envelope, resolvent)]
+
+
+def pruned_envelope(monkeypatch, cs, osc, L):
+    """certify_grid on a table whose certified (osc, L) are given, as (C_k, witness index or None)."""
+    tokens = [MixtureParams((1.0,), (float(k + 1),)) for k in range(osc.size)]
+    certificates = [MixtureCertificate(0.0, o, o, a) for o, a in zip(osc.tolist(), L.tolist())]
+    monkeypatch.setattr(optimize, "load_witnesses", lambda: tokens)
+    monkeypatch.setattr(optimize, "certify_mixtures", lambda witnesses: certificates)
+    index = {params: k for k, params in enumerate(tokens)}
+    points = certify_grid(cs.tolist())
+    assert [p.c for p in points] == cs.tolist()
+    return [(p.C_k, None if p.params is None else index[p.params]) for p in points]
+
+
+def ulps(value, count):
+    """value moved by count ulps (down for negative count)."""
+    for _ in range(abs(count)):
+        value = np.nextafter(value, np.inf if count > 0 else -np.inf)
+    return value
+
+
+def near_tie_table(seed):
+    """A random (osc, L) table with engineered near-ties, and nodes that exercise them.
+
+    The base witnesses lie on a Pareto front (osc rising, L falling), so
+    each wins somewhere.  Every base witness gets copies 1, 2, 8 and 63
+    ulps away in osc or in L, either way, and every witness an exact
+    duplicate.  The table is shuffled, so copies sit before and after
+    their originals.  Then, at the first node where it can, the winner
+    gets a copy at index 0 whose plain osc + c L is larger but whose
+    node_value is equal once rounded upward.
+    """
+    rng = np.random.default_rng(seed)
+    size = 12
+    base_osc = np.sort(10.0 ** rng.uniform(-3.5, -0.5, size))
+    base_L = np.sort(10.0 ** rng.uniform(-3.2, -0.05, size))[::-1]
+    cs = np.sort(10.0 ** rng.uniform(-1.7, 1.6, 600))
+    osc, L = list(base_osc), list(base_L)
+    for o, a in zip(base_osc, base_L):
+        for d in (1, 2, 8, 63):
+            for sign in (1, -1):
+                osc.append(ulps(o, sign * d)), L.append(a)
+                osc.append(o), L.append(ulps(a, sign * d))
+    order = rng.permutation(2 * len(osc))
+    osc, L = np.array(osc * 2)[order], np.array(L * 2)[order]
+    values = node_value(cs[:, None], osc, L)
+    for c, row in zip(cs, values):
+        winner = int(row.argmin())
+        if not row[winner] < np.nextafter(c + 1.0, np.inf):
+            continue
+        o, a = osc[winner], L[winner]
+        for d in range(1, 9):
+            moved = ulps(o, d)
+            if node_value(c, moved, a) == row[winner] and moved + c * a > o + c * a:
+                return cs, np.concatenate(([moved], osc)), np.concatenate(([a], L))
+    raise AssertionError("no copy ties only after upward rounding")
 
 
 class TestSearchConstants:
@@ -310,3 +382,50 @@ class TestCertifyGrid:
         for bad in ([0.0], [-1.0], [float("nan")], [1.0, float("inf")]):
             with pytest.raises(DomainViolation):
                 certify_grid(bad)
+
+
+class TestPrunedEnvelope:
+    """certify_grid evaluates node_value only on the witnesses that can win.
+
+    Each node's C_k and witness must be those of the envelope over every
+    (node, witness) pair.
+    """
+
+    def test_paper_grid_matches_full_envelope(self):
+        grid = build_paper_grid()
+        witnesses = load_witnesses()
+        index = {params: k for k, params in enumerate(witnesses)}
+        certificates = optimize.certify_mixtures(witnesses)
+        osc = np.array([cert.osc for cert in certificates])
+        L = np.array([cert.L for cert in certificates])
+        expected = full_envelope(np.array(grid), osc, L)
+        points = certify_grid(grid)
+        assert [(p.C_k, None if p.params is None else index[p.params]) for p in points] == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_near_ties_match_full_envelope(self, monkeypatch, seed):
+        cs, osc, L = near_tie_table(seed)
+        expected = full_envelope(cs, osc, L)
+        assert pruned_envelope(monkeypatch, cs, osc, L) == expected
+
+        # The table reaches the cases the pruning must get right.
+        h = osc + cs[:, None] * L
+        winners = [(i, k) for i, (_, k) in enumerate(expected) if k is not None]
+        assert len(winners) > 0.5 * cs.size
+        # A winner whose plain osc + c L is not the least (a zero margin
+        # would prune it) ...
+        assert any(h[i, k] > h[i].min() for i, k in winners)
+        # ... and a winner with an exact duplicate at a later index.
+        assert any(
+            any((osc[j], L[j]) == (osc[k], L[k]) for j in range(k + 1, osc.size)) for _, k in winners
+        )
+
+    def test_overflow_keeps_the_first_witness(self, monkeypatch):
+        # At the largest float, 1 + c rounds upward to inf and so does
+        # every node_value: argmin over all inf values is witness 0.
+        cs = np.array([sys.float_info.max, 1.0])
+        osc, L = np.array([0.5, 0.1, 0.2]), np.array([2.0, 0.5, 0.4])
+        with np.errstate(over="ignore"):
+            expected = full_envelope(cs, osc, L)
+            assert pruned_envelope(monkeypatch, cs, osc, L) == expected
+        assert expected[0] == (math.inf, 0)

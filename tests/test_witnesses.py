@@ -280,3 +280,10 @@ class TestBatchedCertifier:
         for params, cert in zip(batch, certificates):
             samples = dense_residual(xs, params)
             assert cert.low <= samples.min() and samples.max() <= cert.high, params
+
+    def test_round_zero_exit(self, monkeypatch):
+        # With no cell to split, the loop ends right after round 0's row
+        # reductions.
+        monkeypatch.setattr(approx, "_REFINE_TOL", math.inf)
+        for batch in (WITNESSES, RANDOM_MIXTURES[::4] + WITNESSES[::11]):
+            assert certify_mixtures(batch) == [reference_certificate(p) for p in batch]
