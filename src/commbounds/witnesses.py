@@ -11,8 +11,12 @@ Each witness minimizes osc(f1 - g) + c * g'(0) over the weights of 120
 fixed widths b_k, log-spaced on [1e-8, 1e3], with the oscillation
 sampled at 3000 log-spaced points of [1e-4, 1e8] plus the limit at
 infinity.  In the masses v_k = w_k (1/2) sqrt(pi / b_k) this is a linear
-program, solved by HiGHS through `scipy.optimize.linprog`.  The fit is
-deterministic; regenerate the table with
+program, solved by HiGHS.  Only its cost depends on c, so a process
+builds the program once, on its first fit; each fit loads it into a new
+HiGHS instance with its own cost, so no solver state passes from one fit
+to the next.  The result is bit for bit what
+`scipy.optimize.linprog(method="highs")` returns for the same program.
+The fit is deterministic; regenerate the table with
 
     python -m commbounds.witnesses
 
@@ -22,21 +26,68 @@ deterministic; regenerate the table with
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog  # noqa: F401 -- perfbench/spans.py traces it under this module
+from scipy.optimize._highspy import _core as highs_core
+from scipy.sparse import csc_array
 from scipy.special import erf
 
-from commbounds.approx import MixtureParams
+from commbounds.approx import DomainViolation, MixtureParams
 
 __all__ = ["FIT_NODES", "WIDTHS", "fit_witness", "load_witnesses", "main"]
 
 WIDTHS = np.logspace(-8.0, 3.0, 120)
 FIT_NODES = np.geomspace(0.0195, 40.0, 120)
 _SAMPLE = np.geomspace(1e-4, 1e8, 3000)
+_HALF_MASS = 0.5 * np.sqrt(np.pi / WIDTHS)
 _TABLE = "mixture_witnesses.json"
+# The options linprog(method="highs") passes by default: no output, presolve, dual simplex.
+_HIGHS_OPTIONS = (
+    ("output_flag", False),
+    ("log_to_console", False),
+    ("highs_debug_level", int(highs_core.HighsDebugLevel.kHighsDebugLevelNone)),
+    ("presolve", "on"),
+    ("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+)
+
+
+@functools.cache
+def _witness_lp() -> highs_core.HighsLp:
+    """The witness program with zero cost, in the form linprog hands to HiGHS.
+
+    The CSC arrays and the bounds (infinite ones as +-kHighsInf) are those
+    that `linprog(method="highs")` builds, so HiGHS takes the same path.
+    Only the cost depends on c, so a process builds this once, on its
+    first fit.  scipy has no public API to load one program and solve it
+    with several costs; this uses `scipy.optimize._highspy._core`, the
+    binding linprog itself calls (scipy >= 1.15), and so depends on that
+    private module.
+    """
+    n = WIDTHS.size
+    basis = np.vstack((erf(np.multiply.outer(_SAMPLE, np.sqrt(WIDTHS))), np.ones(n)))
+    target = np.concatenate((_SAMPLE / (_SAMPLE + 1.0), [1.0]))
+    ones = np.ones((target.size, 1))
+    zeros = np.zeros((target.size, 1))
+    matrix = csc_array(np.block([[-basis, -ones, zeros], [basis, zeros, ones]]))
+    rhs = np.concatenate((-target, target))
+    lp = highs_core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n + 2
+    lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
+    lp.a_matrix_.format_ = highs_core.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = matrix.indptr
+    lp.a_matrix_.index_ = matrix.indices
+    lp.a_matrix_.value_ = matrix.data
+    lp.col_cost_ = np.zeros(n + 2)
+    lp.col_lower_ = np.concatenate((np.zeros(n + 1), [-highs_core.kHighsInf]))
+    lp.col_upper_ = np.concatenate((np.full(n + 1, highs_core.kHighsInf), [0.0]))
+    lp.row_lower_ = np.full(rhs.size, -highs_core.kHighsInf)
+    lp.row_upper_ = rhs
+    return lp
 
 
 def fit_witness(c: float) -> MixtureParams:
@@ -46,27 +97,34 @@ def fit_witness(c: float) -> MixtureParams:
     level l <= 0 (j(0) = 0 lies in the range); the program minimizes
     u - l + c * sum_k v_k / m_k subject to l <= j(x) <= u at every sample
     and at infinity, where j(x) = f1(x) - sum_k v_k erf(sqrt(b_k) x).
-    Widths whose fitted mass is not positive are dropped.
+    Widths whose fitted mass is not positive are dropped; c must be
+    positive and finite, and small enough that some width is kept.
+
+    Each fit loads the shared program into a new HiGHS instance, so no
+    basis, scaling or presolve state carries from one fit to the next,
+    and the shared program is never written after it is built.
     """
-    half_mass = 0.5 * np.sqrt(np.pi / WIDTHS)
-    n = WIDTHS.size
-    basis = np.vstack((erf(np.multiply.outer(_SAMPLE, np.sqrt(WIDTHS))), np.ones(n)))
-    target = np.concatenate((_SAMPLE / (_SAMPLE + 1.0), [1.0]))
-    ones = np.ones((target.size, 1))
-    zeros = np.zeros((target.size, 1))
-    result = linprog(
-        np.concatenate((c / half_mass, [1.0, -1.0])),
-        A_ub=np.block([[-basis, -ones, zeros], [basis, zeros, ones]]),
-        b_ub=np.concatenate((-target, target)),
-        bounds=[(0.0, None)] * (n + 1) + [(None, 0.0)],
-        method="highs",
-    )
-    if result.status != 0:
-        raise RuntimeError(f"witness fit at c = {c!r} failed: {result.message}")
-    mass = result.x[:n]
+    if not (math.isfinite(c) and c > 0.0):
+        raise DomainViolation(f"fit_witness needs c positive and finite, got {c!r}")
+    cost = np.concatenate((c / _HALF_MASS, [1.0, -1.0]))
+    highs = highs_core._Highs()
+    statuses = [highs.setOptionValue(option, value) for option, value in _HIGHS_OPTIONS]
+    statuses += [
+        highs.passModel(_witness_lp()),
+        highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost),
+    ]
+    if highs_core.HighsStatus.kError in statuses:
+        raise RuntimeError(f"HiGHS did not accept the witness program at c = {c!r}")
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highs_core.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"witness fit at c = {c!r} failed: {highs.modelStatusToString(status)}")
+    mass = np.array(highs.getSolution().col_value[: WIDTHS.size])
     keep = mass > 0.0
+    if not keep.any():
+        raise DomainViolation(f"the witness fit at c = {c!r} keeps no width: g = 0 is optimal there")
     return MixtureParams(
-        tuple(float(v) for v in mass[keep] / half_mass[keep]),
+        tuple(float(v) for v in mass[keep] / _HALF_MASS[keep]),
         tuple(float(v) for v in WIDTHS[keep]),
     )
 

@@ -3,10 +3,14 @@
 import hashlib
 import json
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special
 
 from commbounds import approx
@@ -24,7 +28,7 @@ from commbounds.approx import (
     mixture_residual,
 )
 from commbounds.optimize import build_paper_grid, certify_grid
-from commbounds.witnesses import FIT_NODES, WIDTHS, load_witnesses, main
+from commbounds.witnesses import FIT_NODES, WIDTHS, fit_witness, load_witnesses, main
 
 WITNESSES = load_witnesses()
 
@@ -153,6 +157,29 @@ def random_mixtures():
 RANDOM_MIXTURES = random_mixtures()
 
 
+def linprog_witness(c):
+    """The witness program at c, written out densely and solved by linprog(method="highs")."""
+    half_mass = 0.5 * np.sqrt(np.pi / WIDTHS)
+    xs = np.geomspace(1e-4, 1e8, 3000)
+    rows = np.vstack((scipy.special.erf(np.outer(xs, np.sqrt(WIDTHS))), np.ones(WIDTHS.size)))
+    target = np.append(xs / (xs + 1.0), 1.0)
+    ones, zeros = np.ones((target.size, 1)), np.zeros((target.size, 1))
+    result = scipy.optimize.linprog(
+        np.append(c / half_mass, [1.0, -1.0]),
+        A_ub=np.block([[-rows, -ones, zeros], [rows, zeros, ones]]),
+        b_ub=np.append(-target, target),
+        bounds=[(0.0, None)] * (WIDTHS.size + 1) + [(None, 0.0)],
+        method="highs",
+    )
+    assert result.status == 0, result.message
+    mass = result.x[: WIDTHS.size]
+    keep = mass > 0.0
+    return MixtureParams(
+        tuple(float(v) for v in mass[keep] / half_mass[keep]),
+        tuple(float(v) for v in WIDTHS[keep]),
+    )
+
+
 class TestMixtureParams:
     def test_validation(self):
         with pytest.raises(DomainViolation):
@@ -247,6 +274,45 @@ class TestWitnessTable:
         (entry,) = json.loads(out.read_text())["witnesses"]
         assert entry["c"] == float(FIT_NODES[0])
         assert MixtureParams(tuple(entry["w"]), tuple(entry["b"])) == WITNESSES[0]
+
+
+class TestFitWitness:
+    def test_matches_linprog_bit_for_bit(self):
+        # The fits share one loaded program; this order shows that a fit
+        # at one end of FIT_NODES leaves nothing behind for the next.
+        order = (119, 0, 60, 0)
+        expected = {k: linprog_witness(float(FIT_NODES[k])) for k in set(order)}
+        for k in order:
+            assert fit_witness(float(FIT_NODES[k])) == expected[k], k
+
+    def test_concurrent_fits(self):
+        # Fits share only the loaded program, which none of them writes;
+        # HiGHS runs without the interpreter lock, so these fits overlap.
+        order = (119, 0, 60, 0)
+        start = threading.Barrier(len(order))
+
+        def fit(k):
+            start.wait(timeout=60)
+            return fit_witness(float(FIT_NODES[k]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(order)) as pool:
+                futures = [pool.submit(fit, k) for k in order]
+                fits = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert fits == [WITNESSES[k] for k in order]
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_c_must_be_positive_and_finite(self, c):
+        with pytest.raises(DomainViolation, match="positive and finite"):
+            fit_witness(c)
+
+    def test_a_fit_that_keeps_no_width(self):
+        with pytest.raises(DomainViolation, match=r"c = 100000\.0 keeps no width: g = 0 is optimal"):
+            fit_witness(1e5)
 
 
 class TestBatchedCertifier:
