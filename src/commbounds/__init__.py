@@ -10,8 +10,8 @@ unitarily invariant norms, for operator-monotone test functions such as
 * derivative-free tuning of the single-Gaussian bound, and the
   search-free mixture certifier, over a certification grid
   (:mod:`commbounds.optimize`),
-* the committed Gaussian-mixture witness table and the script that fits
-  it (:mod:`commbounds.witnesses`),
+* the committed Gaussian-mixture witness table and its deterministic
+  fit (:mod:`commbounds.witnesses`),
 * interval stitching that lifts gridpoint bounds to a global constant
   and integrates it into a square-root commutator constant
   (:mod:`commbounds.stitch`),
@@ -19,7 +19,8 @@ unitarily invariant norms, for operator-monotone test functions such as
   (:mod:`commbounds.formulas`),
 * a random-matrix laboratory that checks every inequality on sampled
   Hermitian matrices (:mod:`commbounds.matrixlab`),
-* a command line front end (:mod:`commbounds.cli`).
+* a command line front end (:mod:`commbounds.cli`), which also
+  regenerates the witness table.
 """
 
 from commbounds.approx import (

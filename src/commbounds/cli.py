@@ -2,8 +2,9 @@
 
 Subcommands:
   erfmin          evaluate the Gaussian-family bound at (c, a, b)
-  certify         optimize (or ingest) a parameter table over a c-grid,
+  certify         certify a c-grid with the committed witness table and
                   stitch it into a global certificate (JSON + CSV)
+  fit-witnesses   fit the Gaussian-mixture witness table again
   sqrt-const      evaluate the square-root commutator constant from a
                   certificate file
   closed-forms    tabulate every closed-form constant, optionally over
@@ -13,12 +14,11 @@ Subcommands:
   counterexample  print the fixed 3x3 trace-norm reversal report
 
 Exit codes: 0 on success, 1 on usage errors (bad arguments, unreadable
-or mismatched input files), 2 on validation or computation failures
-(domain violations, degenerate certificate nodes, coverage gaps).
+or malformed input files), 2 on validation or computation failures
+(domain violations, rejected roots, coverage gaps).
 
 Output files are written atomically (temporary file in the destination
-directory, then rename).  Parameter tables are plain text with one
-decimal float per line; line k pairs with grid node k.
+directory, then rename).
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from importlib import resources
 
+from commbounds import witnesses
 from commbounds.approx import (
     DomainViolation,
     ErfMinOutcome,
@@ -62,19 +63,17 @@ from commbounds.matrixlab import (
     counterexample_report,
     monte_carlo_campaign,
 )
-from commbounds.optimize import BoundPoint, build_paper_grid, optimize_grid
+from commbounds.optimize import build_paper_grid, certify_grid
 from commbounds.stitch import (
     ArgumentOrder,
     CoverageGap,
-    DegenerateNode,
     StitchedCertificate,
-    continuity_lift,
     gamma_half_via_Cc,
     global_constant,
     sqrt_constant,
 )
 
-__all__ = ["ParameterTable", "UsageError", "main", "parse_norm"]
+__all__ = ["UsageError", "main", "parse_norm"]
 
 _COMPUTE_ERRORS = (
     DomainViolation,
@@ -82,7 +81,6 @@ _COMPUTE_ERRORS = (
     NoSignChange,
     ArgumentOrder,
     CoverageGap,
-    DegenerateNode,
     NotHermitian,
     BadParameter,
     SpectralRadiusTooLarge,
@@ -92,35 +90,6 @@ _COMPUTE_ERRORS = (
 
 class UsageError(Exception):
     """Bad command-line arguments or unusable input files (exit 1)."""
-
-
-@dataclass(frozen=True)
-class ParameterTable:
-    """A c-grid paired with per-node Gaussian parameters.
-
-    All three lists have equal length; cs is strictly increasing and all
-    entries are positive.
-    """
-
-    cs: tuple[float, ...]
-    as_: tuple[float, ...]
-    bs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.cs) == len(self.as_) == len(self.bs)):
-            raise UsageError(
-                f"table lengths differ: {len(self.cs)} grid nodes, "
-                f"{len(self.as_)} a-values, {len(self.bs)} b-values"
-            )
-        if not self.cs:
-            raise UsageError("parameter table is empty")
-        if any(v <= 0.0 or not math.isfinite(v) for v in self.cs + self.as_ + self.bs):
-            raise UsageError("parameter table entries must be positive finite reals")
-        if any(u >= v for u, v in zip(self.cs, self.cs[1:])):
-            raise UsageError("grid nodes must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.cs)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -141,25 +110,6 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _read_param_file(path: str) -> list[float]:
-    """One decimal float per line; surrounding whitespace and blank lines ignored."""
-    try:
-        with open(path, "r") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise UsageError(f"cannot read parameter file {path}: {exc}") from exc
-    values = []
-    for idx, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError as exc:
-            raise UsageError(f"{path}:{idx}: not a decimal float: {text!r}") from exc
-    return values
 
 
 def parse_norm(text: str) -> NormKind:
@@ -253,38 +203,12 @@ def cmd_erfmin(args: argparse.Namespace) -> int:
     return 0
 
 
-def _certify_points(args: argparse.Namespace, grid: list[float]) -> list[BoundPoint]:
-    if args.params is None:
-        return optimize_grid(grid)
-    as_ = _read_param_file(args.params[0])
-    bs = _read_param_file(args.params[1])
-    table = ParameterTable(tuple(grid), tuple(as_), tuple(bs))
-    points = []
-    for c, a, b in zip(table.cs, table.as_, table.bs):
-        params = GaussianParams(a, b)
-        try:
-            value = erf_min_bound(c, params).value
-        except (RootValidationFailed, DomainViolation, NoSignChange):
-            value = math.inf
-        points.append(BoundPoint(c, value, params, value == math.inf))
-    return points
-
-
-def _certificate_csv(points: list[BoundPoint], lifted: tuple[float, ...] | None) -> str:
+def _certificate_csv(cert: StitchedCertificate) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     writer.writerow(["c_k", "C_k", "D_k", "degenerate"])
-    cs = [p.c for p in points]
-    spacing = max((v - u for u, v in zip(cs, cs[1:])), default=0.0)
-    for idx, point in enumerate(points):
-        if lifted is not None:
-            d_k = repr(lifted[idx])
-        elif point.degenerate:
-            d_k = ""
-        else:
-            upper = cs[idx + 1] if idx + 1 < len(cs) else cs[-1] + spacing
-            d_k = repr(continuity_lift(point.C_k, point.c, upper))
-        writer.writerow([repr(point.c), repr(point.C_k), d_k, int(point.degenerate)])
+    for point, lifted in zip(cert.points, cert.lifted):
+        writer.writerow([repr(point.c), repr(point.C_k), repr(lifted), int(point.degenerate)])
     return buffer.getvalue()
 
 
@@ -295,26 +219,27 @@ def _csv_path(out: str) -> str:
 
 def cmd_certify(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    points = _certify_points(args, grid)
-    bad = [p.c for p in points if p.degenerate]
-    if bad:
-        _atomic_write(_csv_path(args.out), _certificate_csv(points, None))
-        head = ", ".join(f"{c:g}" for c in bad[:5])
-        print(
-            f"error: {len(bad)} degenerate node(s) at c = {head}"
-            f"{'...' if len(bad) > 5 else ''}; partial CSV written to "
-            f"{_csv_path(args.out)}",
-            file=sys.stderr,
-        )
-        return 2
-    cert = global_constant(points, grid[0], grid[-1])
+    cert = global_constant(certify_grid(grid), grid[0], grid[-1])
     _atomic_write(args.out, json.dumps(cert.to_dict(), indent=2))
-    _atomic_write(_csv_path(args.out), _certificate_csv(points, cert.lifted))
-    print(f"nodes={len(points)}")
+    _atomic_write(_csv_path(args.out), _certificate_csv(cert))
+    print(f"nodes={len(cert.points)}")
     print(f"corner_small={cert.corner_small!r}")
     print(f"corner_large={cert.corner_large!r}")
     print(f"global_C={cert.global_C!r}")
     print(f"wrote {args.out} and {_csv_path(args.out)}")
+    return 0
+
+
+def cmd_fit_witnesses(args: argparse.Namespace) -> int:
+    out = args.out
+    if out is None:
+        out = str(resources.files("commbounds").joinpath(witnesses._TABLE))
+    table = []
+    for c in witnesses.FIT_NODES:
+        params = witnesses.fit_witness(float(c))
+        table.append({"c": float(c), "w": list(params.w), "b": list(params.b)})
+    _atomic_write(out, json.dumps({"witnesses": table}, indent=1) + "\n")
+    print(f"wrote {len(table)} witnesses to {out}")
     return 0
 
 
@@ -461,15 +386,16 @@ def _build_parser() -> _Parser:
         default="paper",
         help="'paper' (default) or start:stop:step for a uniform grid",
     )
-    p.add_argument(
-        "--params",
-        nargs=2,
-        metavar=("AS_FILE", "BS_FILE"),
-        default=None,
-        help="re-certify these per-node parameters instead of optimizing",
-    )
     p.add_argument("--out", default="cert.json", help="certificate path (default cert.json)")
     p.set_defaults(func=cmd_certify)
+
+    p = sub.add_parser("fit-witnesses", help="fit the witness table")
+    p.add_argument(
+        "--out",
+        default=None,
+        help="output path (default: the table inside the package)",
+    )
+    p.set_defaults(func=cmd_fit_witnesses)
 
     p = sub.add_parser("sqrt-const", help="sqrt-commutator constant")
     p.add_argument("--cert", required=True, help="certificate JSON from 'certify'")

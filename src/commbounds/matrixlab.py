@@ -605,6 +605,8 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
     The maximum ratio is taken over all evaluated trials (zero-ratio
     vacuous instances are excluded); ties resolve to the earliest
     (shard, trial).  The histogram covers [0, max(1.05, max ratio)].
+    With threads > 1 the shards run in a process pool with at most one
+    worker per shard.
     """
     sizes = []
     remaining = cfg.trials
@@ -613,7 +615,7 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
         remaining -= _SHARD_SIZE
     jobs = [(cfg, idx, size) for idx, size in enumerate(sizes)]
     if cfg.threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
             results = list(pool.map(_campaign_shard, jobs, chunksize=1))
     else:
         results = [_campaign_shard(job) for job in jobs]

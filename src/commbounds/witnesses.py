@@ -18,14 +18,13 @@ to the next.  The result is bit for bit what
 `scipy.optimize.linprog(method="highs")` returns for the same program.
 The fit is deterministic; regenerate the table with
 
-    python -m commbounds.witnesses
+    commbounds fit-witnesses
 
 (add `--out PATH` to write elsewhere, for instance to compare).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
@@ -39,7 +38,7 @@ from scipy.special import erf
 
 from commbounds.approx import DomainViolation, MixtureParams
 
-__all__ = ["FIT_NODES", "WIDTHS", "fit_witness", "load_witnesses", "main"]
+__all__ = ["FIT_NODES", "WIDTHS", "fit_witness", "load_witnesses"]
 
 WIDTHS = np.logspace(-8.0, 3.0, 120)
 FIT_NODES = np.geomspace(0.0195, 40.0, 120)
@@ -137,28 +136,3 @@ def load_witnesses() -> list[MixtureParams]:
         for item in payload["witnesses"]
     ]
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m commbounds.witnesses",
-        description="Fit the Gaussian-mixture witness table.",
-    )
-    parser.add_argument(
-        "--out",
-        default=str(resources.files("commbounds").joinpath(_TABLE)),
-        help="output path (default: the table inside the package)",
-    )
-    args = parser.parse_args(argv)
-    witnesses = []
-    for c in FIT_NODES:
-        params = fit_witness(float(c))
-        witnesses.append({"c": float(c), "w": list(params.w), "b": list(params.b)})
-    with open(args.out, "w") as handle:
-        json.dump({"witnesses": witnesses}, handle, indent=1)
-        handle.write("\n")
-    print(f"wrote {len(witnesses)} witnesses to {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

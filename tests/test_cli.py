@@ -17,7 +17,7 @@ import pytest
 import commbounds
 
 from commbounds.approx import GaussianParams, erf_min_bound
-from commbounds.cli import ParameterTable, UsageError, main, parse_norm
+from commbounds.cli import UsageError, main, parse_norm
 from commbounds.matrixlab import NormKind
 from commbounds.optimize import BoundPoint, build_paper_grid, certify_grid
 from commbounds.stitch import global_constant, sqrt_constant
@@ -27,28 +27,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-class TestParameterTable:
-    def test_valid_table(self):
-        table = ParameterTable((0.5, 1.0), (0.7, 0.8), (0.4, 0.5))
-        assert len(table) == 2
-
-    def test_length_mismatch(self):
-        with pytest.raises(UsageError):
-            ParameterTable((0.5, 1.0), (0.7,), (0.4, 0.5))
-
-    def test_non_increasing_grid(self):
-        with pytest.raises(UsageError):
-            ParameterTable((1.0, 0.5), (0.7, 0.8), (0.4, 0.5))
-
-    def test_non_positive_entries(self):
-        with pytest.raises(UsageError):
-            ParameterTable((0.5, 1.0), (0.7, -0.8), (0.4, 0.5))
-
-    def test_empty(self):
-        with pytest.raises(UsageError):
-            ParameterTable((), (), ())
 
 
 class TestParseNorm:
@@ -129,75 +107,16 @@ class TestCertifyCommand:
         assert back["global_C"] == first["global_C"]
         assert back["C_k"] == first["C_k"]
 
-    def test_supplied_params_preserve_node_count(self, capsys, tmp_path):
+    def test_paper_grid_is_the_witness_envelope_certificate(self, capsys, tmp_path):
         out = str(tmp_path / "cert.json")
-        assert run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)[0] == 0
-        cert = json.loads(open(out).read())
-        a_file = tmp_path / "as.txt"
-        b_file = tmp_path / "bs.txt"
-        a_file.write_text("".join(f"  {a}  \n\n" for a, _ in cert["params"]))
-        b_file.write_text("".join(f"{b}\n" for _, b in cert["params"]))
-        replay = str(tmp_path / "replay.json")
-        code, _, _ = run(
-            capsys,
-            "certify", "--grid", "0.9:1.1:0.1",
-            "--params", str(a_file), str(b_file),
-            "--out", replay,
-        )
+        code, stdout, _ = run(capsys, "certify", "--grid", "paper", "--out", out)
         assert code == 0
-        replayed = json.loads(open(replay).read())
-        assert len(replayed["grid"]) == 3
-        assert replayed["C_k"] == cert["C_k"]
-        assert replayed["global_C"] == cert["global_C"]
-
-    def test_mismatched_tables_exit_one(self, capsys, tmp_path):
-        a_file = tmp_path / "as.txt"
-        b_file = tmp_path / "bs.txt"
-        a_file.write_text("0.75\n")
-        b_file.write_text("0.45\n0.45\n0.45\n")
-        code, _, err = run(
-            capsys,
-            "certify", "--grid", "0.9:1.1:0.1",
-            "--params", str(a_file), str(b_file),
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 1
-        assert "lengths differ" in err
-
-    def test_degenerate_node_exits_two_with_partial_csv(self, capsys, tmp_path):
-        a_file = tmp_path / "as.txt"
-        b_file = tmp_path / "bs.txt"
-        a_file.write_text("0.01\n0.75\n0.75\n")
-        b_file.write_text("1.0\n0.45\n0.45\n")
-        out = str(tmp_path / "dg.json")
-        code, _, err = run(
-            capsys,
-            "certify", "--grid", "0.9:1.1:0.1",
-            "--params", str(a_file), str(b_file),
-            "--out", out,
-        )
-        assert code == 2
-        assert "degenerate" in err
-        assert not os.path.exists(out)
-        rows = open(str(tmp_path / "dg.csv")).read().splitlines()
-        assert rows[1].split(",")[1] == "inf"
-        assert rows[1].split(",")[2] == ""
-        assert rows[1].endswith(",1")
-        assert rows[2].endswith(",0")
-
-    def test_unparsable_param_file_exit_one(self, capsys, tmp_path):
-        a_file = tmp_path / "as.txt"
-        b_file = tmp_path / "bs.txt"
-        a_file.write_text("0.75\nnot-a-number\n0.75\n")
-        b_file.write_text("0.45\n0.45\n0.45\n")
-        code, _, err = run(
-            capsys,
-            "certify", "--grid", "0.9:1.1:0.1",
-            "--params", str(a_file), str(b_file),
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 1
-        assert "not a decimal float" in err
+        expected = global_constant(certify_grid(build_paper_grid()), 0.0195, 40.0)
+        assert json.loads(open(out).read()) == expected.to_dict()
+        assert "global_C=1.0195" in stdout.splitlines()
+        code, stdout, _ = run(capsys, "sqrt-const", "--cert", out)
+        assert code == 0
+        assert stdout.strip() == "1.0087602160646407"
 
     def test_bad_grid_spec_exit_one(self, capsys, tmp_path):
         for spec in ("weird", "1:2", "0:1:0.5", "1:2:-1"):

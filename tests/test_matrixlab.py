@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from commbounds import matrixlab
 from commbounds.approx import DomainViolation, f1
 from commbounds.matrixlab import (
     BadParameter,
@@ -881,6 +882,30 @@ class TestCampaign:
         r1 = monte_carlo_campaign(base)
         r2 = monte_carlo_campaign(twice)
         assert r1.to_dict() == r2.to_dict()
+
+    def test_pool_has_at_most_one_worker_per_shard(self, monkeypatch):
+        # The fake pool records the size asked for and runs the shards in
+        # this process, so the large thread count starts no process.
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(matrixlab, "ProcessPoolExecutor", RecordingPool)
+        pooled = monte_carlo_campaign(CampaignConfig(n_max=3, trials=2000, seed=4, threads=5000))
+        assert requested == [2]
+        serial = monte_carlo_campaign(CampaignConfig(n_max=3, trials=2000, seed=4))
+        assert pooled.to_dict() == serial.to_dict()
 
     def test_argmax_replays_through_public_ratio(self):
         cfg = CampaignConfig(n_max=4, trials=400, seed=2)

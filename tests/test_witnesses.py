@@ -28,7 +28,8 @@ from commbounds.approx import (
     mixture_residual,
 )
 from commbounds.optimize import build_paper_grid, certify_grid
-from commbounds.witnesses import FIT_NODES, WIDTHS, fit_witness, load_witnesses, main
+from commbounds.cli import main
+from commbounds.witnesses import FIT_NODES, WIDTHS, fit_witness, load_witnesses
 
 WITNESSES = load_witnesses()
 
@@ -270,7 +271,7 @@ class TestWitnessTable:
 
         monkeypatch.setattr(module, "FIT_NODES", FIT_NODES[:1])
         out = tmp_path / "table.json"
-        assert main(["--out", str(out)]) == 0
+        assert main(["fit-witnesses", "--out", str(out)]) == 0
         (entry,) = json.loads(out.read_text())["witnesses"]
         assert entry["c"] == float(FIT_NODES[0])
         assert MixtureParams(tuple(entry["w"]), tuple(entry["b"])) == WITNESSES[0]
