@@ -467,12 +467,12 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
     owner, lo, hi = np.arange(count)[:, None], xs[:-1], xs[1:]
     j_lo, j_hi = values[:, :-1], values[:, 1:]
     upper, lower = np.full(count, -math.inf), np.full(count, math.inf)
-    for _ in range(_MAX_ROUNDS):
+    for round_ in range(_MAX_ROUNDS + 1):
         cell_hi, cell_lo = _cell_bounds(lo, hi, j_lo, j_hi, bump)
         mid = 0.5 * (lo + hi)
         split = (
             (cell_hi > (top + _REFINE_TOL)[owner]) | (cell_lo < (bottom - _REFINE_TOL)[owner])
-        ) & (lo < mid) & (mid < hi)
+        ) & (lo < mid) & (mid < hi) & (round_ < _MAX_ROUNDS)
         done = ~split
         if split.ndim > 1:
             upper = np.where(done, cell_hi, -math.inf).max(axis=1)
@@ -493,11 +493,6 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
         np.minimum.at(bottom, owner, j_mid)
         owner, lo, hi = np.repeat(owner, 2), lo.ravel(), hi.ravel()
         j_lo, j_hi = np.column_stack((j_lo, j_mid)).ravel(), np.column_stack((j_mid, j_hi)).ravel()
-    else:
-        cell_hi, cell_lo = _cell_bounds(lo, hi, j_lo, j_hi, bump)
-        owner = np.broadcast_to(owner, cell_hi.shape)
-        np.maximum.at(upper, owner, cell_hi)
-        np.minimum.at(lower, owner, cell_lo)
 
     g_inf, g_tail, margin = np.concatenate(g_inf), np.concatenate(g_tail), np.concatenate(margin)
     upper = np.maximum(upper, 1.0 - g_tail)

@@ -112,6 +112,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write text atomically to out and say so, or print it when there is no out."""
+    if out:
+        _atomic_write(out, text)
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+
+
 def parse_norm(text: str) -> NormKind:
     """Parse operator | trace | hs | kyfan:K | schatten:P."""
     name, _, arg = text.partition(":")
@@ -249,32 +258,18 @@ def _load_certificate(path: str) -> StitchedCertificate:
             payload = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read certificate {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
-    return StitchedCertificate.from_dict(payload)
+    try:
+        return StitchedCertificate.from_dict(payload)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{path} is not a certificate: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_sqrt_const(args: argparse.Namespace) -> int:
     cert = _load_certificate(args.cert)
     print(repr(sqrt_constant(cert.points)))
     return 0
-
-
-_R_COLUMNS = (
-    "gamma_boyadzhiev",
-    "gamma_olsen_pedersen",
-    "gamma_pedersen",
-    "gamma_tangent",
-    "gamma_sin_bound",
-    "gamma_sin_argmin",
-)
-_CONSTANT_COLUMNS = (
-    "trivial_constant",
-    "shift_constant",
-    "csc1",
-    "cayley_max",
-    "gamma_half_integral",
-)
 
 
 def _r_row(r: float) -> dict:
@@ -302,6 +297,7 @@ def cmd_closed_forms(args: argparse.Namespace) -> int:
         rs = _parse_r_spec(args.r)
     except ValueError as exc:
         raise UsageError(f"bad r spec {args.r!r}: {exc}") from exc
+    rows = [_r_row(r) for r in rs]
     constants = {
         "trivial_constant": trivial_constant(),
         "shift_constant": shift_constant(),
@@ -312,28 +308,17 @@ def cmd_closed_forms(args: argparse.Namespace) -> int:
     if args.csv:
         buffer = io.StringIO()
         writer = csv.writer(buffer)
-        writer.writerow(("r",) + _R_COLUMNS + _CONSTANT_COLUMNS)
-        for r in rs:
-            row = _r_row(r)
-            writer.writerow(
-                [repr(r)]
-                + [repr(row[name]) for name in _R_COLUMNS]
-                + [repr(constants[name]) for name in _CONSTANT_COLUMNS]
-            )
+        writer.writerow(["r", *rows[0], *constants])
+        for r, row in zip(rs, rows):
+            writer.writerow([repr(v) for v in (r, *row.values(), *constants.values())])
         text = buffer.getvalue()
-        if args.out:
-            _atomic_write(args.out, text)
-            print(f"wrote {args.out}")
-        else:
-            print(text, end="")
-        return 0
-    for r in rs:
-        print(f"r = {r!r}")
-        for name, value in _r_row(r).items():
-            print(f"  {name:22s} {value!r}")
-    print("constants")
-    for name, value in constants.items():
-        print(f"  {name:22s} {value!r}")
+    else:
+        blocks = [(f"r = {r!r}", row) for r, row in zip(rs, rows)] + [("constants", constants)]
+        text = "".join(
+            title + "\n" + "".join(f"  {name:22s} {value!r}\n" for name, value in block.items())
+            for title, block in blocks
+        )
+    _emit(text, args.out)
     return 0
 
 
@@ -360,13 +345,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_counterexample(args: argparse.Namespace) -> int:
-    report = counterexample_report()
-    text = json.dumps(report, indent=2)
-    if args.out:
-        _atomic_write(args.out, text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _emit(json.dumps(counterexample_report(), indent=2) + "\n", args.out)
     return 0
 
 

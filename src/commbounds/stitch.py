@@ -96,9 +96,10 @@ class StitchedCertificate:
     def from_dict(cls, payload: Mapping) -> "StitchedCertificate":
         grid = payload["grid"]
         constants = payload["C_k"]
+        lifted = payload["D_k"]
         params = payload["params"]
-        if not (len(grid) == len(constants) == len(params)):
-            raise CoverageGap("grid, C_k and params must have equal lengths")
+        if not (len(grid) == len(constants) == len(lifted) == len(params)):
+            raise CoverageGap("grid, C_k, D_k and params must have equal lengths")
         mixtures = [
             MixtureParams(tuple(float(v) for v in m["w"]), tuple(float(v) for v in m["b"]))
             for m in payload.get("mixtures", [])
@@ -109,7 +110,7 @@ class StitchedCertificate:
         )
         return cls(
             points,
-            tuple(float(d) for d in payload["D_k"]),
+            tuple(float(d) for d in lifted),
             payload["corner_small"],
             payload["corner_large"],
             float(payload["global_C"]),
@@ -128,7 +129,10 @@ def _params_from_payload(entry, mixtures: list[MixtureParams]):
     if entry is None:
         return None
     if isinstance(entry, Mapping):
-        return mixtures[entry["mixture"]]
+        index = entry["mixture"]
+        if type(index) is not int or not 0 <= index < len(mixtures):
+            raise ValueError(f"mixture index {index!r} is not an int in [0, {len(mixtures)})")
+        return mixtures[index]
     return GaussianParams(float(entry[0]), float(entry[1]))
 
 
@@ -249,11 +253,6 @@ def sqrt_constant(points: Sequence[BoundPoint]) -> float:
     return total / math.pi
 
 
-def _capped_cayley(t: float) -> float:
-    """min(csc 1, (t+1)/(1/2 + sqrt(1/4 + t^2))), well defined for t >= 0."""
-    return min(csc1(), (t + 1.0) / (0.5 + math.sqrt(0.25 + t * t)))
-
-
 def gamma_half_integrand(t: float) -> float:
     """Integrand min(csc 1, Cayley bound)/( (1+t) sqrt t ) of the sqrt estimate."""
     if not (math.isfinite(t) and t > 0.0):
@@ -271,7 +270,7 @@ def gamma_half_via_Cc() -> float:
     """
 
     def smooth(u: float) -> float:
-        return 2.0 * _capped_cayley(u * u) / (1.0 + u * u)
+        return 2.0 * min(csc1(), scaled_cayley_Cc(u * u)) / (1.0 + u * u)
 
     value, estimate = quad(smooth, 0.0, math.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
     if estimate / math.pi > 1e-6:

@@ -222,6 +222,40 @@ class TestSqrtConstCommand:
         assert code == 1
 
 
+@pytest.fixture(scope="module")
+def paper_certificate():
+    return global_constant(certify_grid(build_paper_grid()), 0.0195, 40.0).to_dict()
+
+
+def _with_mixture(index):
+    return lambda p: {**p, "params": [{"mixture": index}, *p["params"][1:]]}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda p: {k: v for k, v in p.items() if k != "C_k"},
+        lambda p: [p],
+        lambda p: {**p, "grid": ["x", *p["grid"][1:]]},
+        _with_mixture(120),
+        _with_mixture(1.5),
+        _with_mixture(-1),
+        lambda p: {**p, "D_k": p["D_k"][:-1]},
+    ],
+    ids=[
+        "no-C_k", "list", "grid-string",
+        "mixture-past-end", "mixture-float", "mixture-negative", "short-D_k",
+    ],
+)
+def test_malformed_certificate_is_usage_error(capsys, tmp_path, paper_certificate, edit):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(edit(paper_certificate)))
+    code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
+    assert code == 1
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert out == ""
+
+
 class TestClosedFormsCommand:
     def test_half_table_values(self, capsys):
         code, out, _ = run(capsys, "closed-forms")
@@ -259,6 +293,22 @@ class TestClosedFormsCommand:
         assert len(lines) == 4
         rs = [float(line.split(",")[0]) for line in lines[1:]]
         assert rs == pytest.approx([0.3, 0.5, 0.7], abs=1e-12)
+
+    @pytest.mark.parametrize("extra", [(), ("--r", "0.1:0.9:0.4"), ("--csv",)])
+    def test_out_file_holds_what_is_printed(self, capsys, tmp_path, extra):
+        code, printed, _ = run(capsys, "closed-forms", *extra)
+        assert code == 0
+        path = tmp_path / "table.txt"
+        code, out, _ = run(capsys, "closed-forms", *extra, "--out", str(path))
+        assert code == 0
+        assert out == f"wrote {path}\n"
+        assert path.read_bytes() == printed.encode()
+
+    def test_csv_header_follows_the_text_table(self, capsys):
+        _, text, _ = run(capsys, "closed-forms")
+        names = [line.split()[0] for line in text.splitlines() if line.startswith("  ")]
+        _, table, _ = run(capsys, "closed-forms", "--csv")
+        assert table.splitlines()[0].split(",") == ["r", *names]
 
     def test_out_of_range_r_exits_one(self, capsys):
         assert run(capsys, "closed-forms", "--r", "1.5")[0] == 1
