@@ -87,7 +87,7 @@ from commbounds.optimize import (
 from commbounds.stitch import (
     ArgumentOrder,
     CoverageGap,
-    DegenerateNode,
+    RejectedCertificate,
     StitchedCertificate,
     continuity_lift,
     corner_large,
@@ -95,7 +95,6 @@ from commbounds.stitch import (
     gamma_half_via_Cc,
     global_constant,
     sqrt_constant,
-    stitch,
 )
 
 __all__ = [
@@ -105,7 +104,6 @@ __all__ = [
     "CampaignConfig",
     "CampaignReport",
     "CoverageGap",
-    "DegenerateNode",
     "DomainViolation",
     "ErfMinOutcome",
     "GaussianParams",
@@ -115,6 +113,7 @@ __all__ = [
     "NormKind",
     "NotHermitian",
     "PiecewiseQuadParams",
+    "RejectedCertificate",
     "RootValidationFailed",
     "SpectralRadiusTooLarge",
     "StitchedCertificate",
@@ -155,7 +154,6 @@ __all__ = [
     "simple_Ct",
     "singular_values",
     "sqrt_constant",
-    "stitch",
     "trivial_constant",
     "ui_norm",
     "unitary_exp",

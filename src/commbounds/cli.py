@@ -15,7 +15,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 on usage errors (bad arguments, unreadable
 or malformed input files), 2 on validation or computation failures
-(domain violations, rejected roots, coverage gaps).
+(domain violations, rejected roots, coverage gaps, a certificate file
+that its nodes do not give).
 
 Output files are written atomically (temporary file in the destination
 directory, then rename).
@@ -67,6 +68,7 @@ from commbounds.optimize import build_paper_grid, certify_grid
 from commbounds.stitch import (
     ArgumentOrder,
     CoverageGap,
+    RejectedCertificate,
     StitchedCertificate,
     gamma_half_via_Cc,
     global_constant,
@@ -81,6 +83,7 @@ _COMPUTE_ERRORS = (
     NoSignChange,
     ArgumentOrder,
     CoverageGap,
+    RejectedCertificate,
     NotHermitian,
     BadParameter,
     SpectralRadiusTooLarge,
@@ -227,6 +230,8 @@ def _csv_path(out: str) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
+    if _csv_path(args.out) == args.out:
+        raise UsageError(f"--out {args.out} is also the CSV path; give it another extension")
     grid = _parse_grid(args.grid)
     cert = global_constant(certify_grid(grid), grid[0], grid[-1])
     _atomic_write(args.out, json.dumps(cert.to_dict(), indent=2))
@@ -262,6 +267,8 @@ def _load_certificate(path: str) -> StitchedCertificate:
         raise UsageError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return StitchedCertificate.from_dict(payload)
+    except RejectedCertificate:
+        raise
     except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"{path} is not a certificate: {type(exc).__name__}: {exc}") from exc
 

@@ -80,7 +80,11 @@ class BoundPoint:
     c: float
     C_k: float
     params: GaussianParams | MixtureParams | None
-    degenerate: bool = False
+
+    @property
+    def degenerate(self) -> bool:
+        """No approximant certified the node: its constant C_k is inf."""
+        return self.C_k == math.inf
 
 
 def _clamp(point: tuple[float, ...], lower, upper) -> tuple[float, ...]:
@@ -210,7 +214,7 @@ def _certify_node(
 
     best = pattern_search(score, GaussianParams(*start))
     value = score(best)
-    return BoundPoint(c, value, best, value == math.inf)
+    return BoundPoint(c, value, best)
 
 
 def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:

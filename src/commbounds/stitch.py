@@ -4,15 +4,17 @@ A grid of certified pairs (c_k, C_k) only bounds the ratio at the grid
 nodes.  The continuity lemma lifts each node to the interval up to the
 next node at the price of the factor (c_{k+1}+1)/(c_k+1); two corner
 bounds cover (0, c_1] and [c_n, inf).  The maximum of the lifted and
-corner values is a constant valid for every c > 0.  The same grid also
-feeds the integral representation of the square root, which turns the
-C_k into a single constant for the sqrt commutator inequality.
+corner values is a constant valid for every c > 0; a certificate
+computes all of them from its nodes, also when it is read from a file.
+The same grid also feeds the integral representation of the square
+root, which turns the C_k into a single constant for the sqrt
+commutator inequality.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 from scipy.integrate import quad
@@ -24,7 +26,7 @@ from commbounds.optimize import BoundPoint
 __all__ = [
     "ArgumentOrder",
     "CoverageGap",
-    "DegenerateNode",
+    "RejectedCertificate",
     "StitchedCertificate",
     "continuity_lift",
     "corner_large",
@@ -33,7 +35,6 @@ __all__ = [
     "gamma_half_via_Cc",
     "global_constant",
     "sqrt_constant",
-    "stitch",
 ]
 
 
@@ -45,26 +46,37 @@ class CoverageGap(ValueError):
     """The point grid does not cover the required interval."""
 
 
-class DegenerateNode(ValueError):
-    """A node is flagged degenerate: it carries no certificate."""
+class RejectedCertificate(ValueError):
+    """A certificate file's nodes do not give the certificate it states."""
 
 
 @dataclass(frozen=True)
 class StitchedCertificate:
-    """Certificate of a uniform bound assembled from grid nodes.
+    """Certificate of a uniform bound, derived from its grid nodes.
 
-    lifted[k] is the node constant C_k pushed forward to the interval
-    [c_k, c_{k+1}] (the last node uses c_n + max spacing).  The corner
-    fields are None for certificates produced by stitch() alone, which
-    cover only [c_1, c_n + max spacing]; global_constant() fills them in
-    and extends the coverage to all c > 0.
+    points is the one field a caller sets; the others are computed from
+    it.  lifted[k] is C_k pushed forward to [c_k, c_{k+1}] (the last node
+    to c_n + max spacing), the corners bound (0, c_1] and [c_n, inf),
+    which needs c_n >= 1/2, and global_C is the largest of them all.
     """
 
     points: tuple[BoundPoint, ...]
-    lifted: tuple[float, ...]
-    corner_small: float | None
-    corner_large: float | None
-    global_C: float
+    lifted: tuple[float, ...] = field(init=False)
+    corner_small: float = field(init=False)
+    corner_large: float = field(init=False)
+    global_C: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        points = tuple(self.points)
+        _check_points(points)
+        cs = [p.c for p in points]
+        spacing = max((v - u for u, v in zip(cs, cs[1:])), default=0.0)
+        uppers = cs[1:] + [cs[-1] + spacing]
+        lifted = [continuity_lift(p.C_k, p.c, d) for p, d in zip(points, uppers)]
+        small, large = corner_small(cs[0]), corner_large(cs[-1])
+        values = (points, tuple(lifted), small, large, max(small, large, *lifted))
+        for name, value in zip((f.name for f in fields(self)), values):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Plain-types payload; floats survive a JSON round trip exactly.
@@ -73,11 +85,8 @@ class StitchedCertificate:
         the resolvent bound, and {"mixture": k} for a Gaussian mixture,
         which is stored once as entry k of a trailing "mixtures" list
         (present only when some node uses one).  The payload has no
-        degenerate flag: a degenerate node is never written.
+        degenerate flag: a certificate holds no degenerate node.
         """
-        for p in self.points:
-            if p.degenerate:
-                raise DegenerateNode(f"degenerate constant at c = {p.c}")
         mixtures: dict[MixtureParams, int] = {}
         payload = {
             "grid": [p.c for p in self.points],
@@ -94,6 +103,11 @@ class StitchedCertificate:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "StitchedCertificate":
+        """Rebuild from grid, C_k, params and mixtures.
+
+        Raises RejectedCertificate when the nodes give no certificate, or
+        one whose D_k, corners or global_C differ from the stored in a bit.
+        """
         grid = payload["grid"]
         constants = payload["C_k"]
         lifted = payload["D_k"]
@@ -108,13 +122,19 @@ class StitchedCertificate:
             BoundPoint(float(c), float(C), _params_from_payload(entry, mixtures))
             for c, C, entry in zip(grid, constants, params)
         )
-        return cls(
-            points,
-            tuple(float(d) for d in lifted),
-            payload["corner_small"],
-            payload["corner_large"],
-            float(payload["global_C"]),
-        )
+        try:
+            cert = cls(points)
+        except ValueError as exc:
+            raise RejectedCertificate(str(exc)) from exc
+        stored = [(f"D_k[{k}]", d, e) for k, (d, e) in enumerate(zip(lifted, cert.lifted))]
+        for name in ("corner_small", "corner_large", "global_C"):
+            stored.append((name, payload[name], getattr(cert, name)))
+        for name, value, rebuilt in stored:
+            if value != rebuilt:
+                raise RejectedCertificate(
+                    f"stored {name} = {value!r}, but the nodes give {rebuilt!r}"
+                )
+        return cert
 
 
 def _params_payload(params, mixtures: dict) -> list | dict | None:
@@ -154,31 +174,8 @@ def _check_points(points: Sequence[BoundPoint]) -> None:
     if any(u >= v for u, v in zip(cs, cs[1:])):
         raise DomainViolation("points must be strictly increasing in c")
     for p in points:
-        if p.degenerate:
-            raise DegenerateNode(f"degenerate constant at c = {p.c}")
         if not (math.isfinite(p.C_k) and p.C_k >= 1.0):
             raise DomainViolation(f"C_k must be >= 1 and finite, got {p.C_k} at c = {p.c}")
-
-
-def stitch(points: Sequence[BoundPoint]) -> StitchedCertificate:
-    """Lift each node to its interval; no corner bounds.
-
-    The last node has no successor, so it is lifted over one maximal
-    spacing (zero for a single point: the certificate then covers the
-    single value c_1 only).
-    """
-    points = tuple(points)
-    _check_points(points)
-    cs = [p.c for p in points]
-    if len(cs) == 1:
-        spacing = 0.0
-    else:
-        spacing = max(v - u for u, v in zip(cs, cs[1:]))
-    uppers = cs[1:] + [cs[-1] + spacing]
-    lifted = tuple(
-        continuity_lift(p.C_k, p.c, d) for p, d in zip(points, uppers)
-    )
-    return StitchedCertificate(points, lifted, None, None, max(lifted))
 
 
 def corner_small(c1: float) -> float:
@@ -191,11 +188,15 @@ def corner_small(c1: float) -> float:
 def corner_large(cn: float) -> float:
     """Bound over [cn, inf) from the shift estimate, valid for cn >= 1/2.
 
-    (1 - 1/(4c))/f1(c) is decreasing on [1/2, inf), so its supremum over
-    the tail is the value at cn.
+    (1 - 1/(4c))/f1(c) = 1 + 3/(4c) - 1/(4c^2) rises on [1/2, 2/3] to
+    its maximum 25/16 at c = 2/3 and decreases beyond, so the supremum
+    over the tail is 25/16 for cn <= 2/3 and the value at cn otherwise.
     """
     if not math.isfinite(cn) or cn < 0.5:
         raise DomainViolation(f"cn must be >= 1/2, got {cn}")
+    # 2.0 / 3.0 rounds down, and no float lies between it and 2/3.
+    if cn <= 2.0 / 3.0:
+        return 25.0 / 16.0
     return (1.0 - 1.0 / (4.0 * cn)) * (cn + 1.0) / cn
 
 
@@ -208,22 +209,11 @@ def global_constant(
     for every c > 0.
     """
     points = tuple(points)
-    if not points:
-        raise CoverageGap("no certificate points supplied")
-    if points[0].c != c1 or points[-1].c != cn:
+    if points and (points[0].c != c1 or points[-1].c != cn):
         raise CoverageGap(
             f"points span [{points[0].c}, {points[-1].c}], required [{c1}, {cn}]"
         )
-    base = stitch(points)
-    small = corner_small(c1)
-    large = corner_large(cn)
-    return StitchedCertificate(
-        base.points,
-        base.lifted,
-        small,
-        large,
-        max(small, large, max(base.lifted)),
-    )
+    return StitchedCertificate(points)
 
 
 _SQRT_SPAN = (0.0195, 40.0)

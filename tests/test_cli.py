@@ -8,6 +8,7 @@ capsys and files land in tmp_path.  Exit code convention under test:
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,12 @@ from commbounds.approx import GaussianParams, erf_min_bound
 from commbounds.cli import UsageError, main, parse_norm
 from commbounds.matrixlab import NormKind
 from commbounds.optimize import BoundPoint, build_paper_grid, certify_grid
-from commbounds.stitch import global_constant, sqrt_constant
+from commbounds.stitch import (
+    RejectedCertificate,
+    StitchedCertificate,
+    global_constant,
+    sqrt_constant,
+)
 
 
 def run(capsys, *argv):
@@ -117,6 +123,22 @@ class TestCertifyCommand:
         code, stdout, _ = run(capsys, "sqrt-const", "--cert", out)
         assert code == 0
         assert stdout.strip() == "1.0087602160646407"
+
+    def test_out_that_is_the_csv_path_is_usage_error(self, capsys, tmp_path):
+        # The JSON would be written and then overwritten by the CSV.
+        out = str(tmp_path / "cert.csv")
+        code, stdout, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)
+        assert code == 1
+        assert err.startswith("usage error: ") and "CSV" in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_corner_below_two_thirds_is_the_shift_constant(self, capsys, tmp_path):
+        out = str(tmp_path / "cert.json")
+        code, stdout, _ = run(capsys, "certify", "--grid", "0.1:0.6:0.1", "--out", out)
+        assert code == 0
+        assert "corner_large=1.5625" in stdout.splitlines()
+        assert "global_C=1.5625" in stdout.splitlines()
 
     def test_bad_grid_spec_exit_one(self, capsys, tmp_path):
         for spec in ("weird", "1:2", "0:1:0.5", "1:2:-1"):
@@ -253,6 +275,77 @@ def test_malformed_certificate_is_usage_error(capsys, tmp_path, paper_certificat
     code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
     assert code == 1
     assert err.startswith("usage error: ") and "Traceback" not in err
+    assert out == ""
+
+
+def _one_ulp(field, toward):
+    def edit(payload):
+        payload = json.loads(json.dumps(payload))
+        if field == "D_k":
+            payload["D_k"][1000] = math.nextafter(payload["D_k"][1000], toward)
+        else:
+            payload[field] = math.nextafter(payload[field], toward)
+        return payload
+
+    return edit
+
+
+def _swap_grid(payload):
+    grid = list(payload["grid"])
+    grid[1000], grid[1001] = grid[1001], grid[1000]
+    return {**payload, "grid": grid}
+
+
+_ULP_FIELDS = {
+    "global_C": "global_C",
+    "corner_small": "corner_small",
+    "corner_large": "corner_large",
+    "D_k": "D_k[1000]",
+}
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (_one_ulp(field, toward), f"stored {name} = ")
+        for field, name in _ULP_FIELDS.items()
+        for toward in (math.inf, -math.inf)
+    ]
+    + [
+        (lambda p: {**p, "global_C": 0.5, "corner_small": "abc"}, "stored corner_small = 'abc'"),
+        (lambda p: {**p, "C_k": [*p["C_k"][:1000], 0.5, *p["C_k"][1001:]]}, "C_k must be >= 1"),
+        (_swap_grid, "strictly increasing"),
+    ],
+    ids=[f"{field}-{way}" for field in _ULP_FIELDS for way in ("up", "down")]
+    + ["unsupported-global_C", "C_k-below-one", "grid-out-of-order"],
+)
+def test_certificate_its_nodes_do_not_give_exits_two(
+    capsys, tmp_path, paper_certificate, edit, named
+):
+    # Reading succeeds; the certificate rebuilt from the nodes fails or
+    # differs from what the file states, and the message names the field.
+    payload = edit(paper_certificate)
+    with pytest.raises(RejectedCertificate, match=re.escape(named)):
+        StitchedCertificate.from_dict(payload)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_invalid_gaussian_is_usage_error(capsys, tmp_path):
+    # GaussianParams rejects it while the file is read, before any rebuild:
+    # a DomainViolation there is a malformed file, not a failed certificate.
+    points = [BoundPoint(c, 1.0, GaussianParams(1.0, 1.0)) for c in (0.9, 1.0, 1.1)]
+    payload = global_constant(points, 0.9, 1.1).to_dict()
+    payload["params"][1] = [-1.0, 1.0]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
+    assert code == 1
+    assert err.startswith("usage error: ")
     assert out == ""
 
 

@@ -73,7 +73,7 @@ def reference_grid(grid):
 
         best = search(objective, start)
         value = objective(best)
-        points.append(BoundPoint(c, value, best, value == math.inf))
+        points.append(BoundPoint(c, value, best))
         start = best
     return points, polls
 

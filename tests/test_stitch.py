@@ -2,6 +2,7 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from commbounds.optimize import BoundPoint, build_paper_grid, certify_grid, opti
 from commbounds.stitch import (
     ArgumentOrder,
     CoverageGap,
-    DegenerateNode,
     StitchedCertificate,
     continuity_lift,
     corner_large,
@@ -22,14 +22,13 @@ from commbounds.stitch import (
     gamma_half_via_Cc,
     global_constant,
     sqrt_constant,
-    stitch,
 )
 
 DUMMY = GaussianParams(1.0, 1.0)
 
 
 def flat_points(grid, C=1.0):
-    return [BoundPoint(float(c), C, DUMMY, False) for c in grid]
+    return [BoundPoint(float(c), C, DUMMY) for c in grid]
 
 
 class TestContinuityLift:
@@ -53,37 +52,41 @@ class TestContinuityLift:
 
 class TestStitch:
     def test_single_point(self):
-        cert = stitch([BoundPoint(1.0, 1.01, DUMMY, False)])
+        cert = global_constant([BoundPoint(1.0, 1.01, DUMMY)], 1.0, 1.0)
         assert cert.lifted == (1.01,)
-        assert cert.global_C == 1.01
-        assert cert.corner_small is None
-        assert cert.corner_large is None
+        assert cert.corner_small == 2.0
+        assert cert.corner_large == 1.5
+        assert cert.global_C == 2.0
 
     def test_two_points(self):
-        cert = stitch(
-            [BoundPoint(1.0, 1.01, DUMMY, False), BoundPoint(1.01, 1.01, DUMMY, False)]
+        cert = global_constant(
+            [BoundPoint(1.0, 1.01, DUMMY), BoundPoint(1.01, 1.01, DUMMY)], 1.0, 1.01
         )
         assert cert.lifted[0] == pytest.approx(1.01 * 2.01 / 2.0, abs=1e-15)
         assert cert.lifted[0] == pytest.approx(1.01505, abs=1e-12)
-        assert cert.global_C == max(cert.lifted)
+        assert cert.global_C == max(cert.corner_small, cert.corner_large, *cert.lifted)
 
     def test_degenerate_node_rejected(self):
-        good = BoundPoint(1.0, 1.01, DUMMY, False)
-        with pytest.raises(DegenerateNode):
-            stitch([good, BoundPoint(2.0, 1.01, DUMMY, True)])
-        # Only the flag marks a node degenerate, not its constant.
-        assert stitch([good, BoundPoint(2.0, 10.0, DUMMY, False)]).points[1].C_k == 10.0
+        good = BoundPoint(1.0, 1.01, DUMMY)
+        degenerate = BoundPoint(2.0, math.inf, DUMMY)
+        assert degenerate.degenerate
+        with pytest.raises(DomainViolation):
+            global_constant([good, degenerate], 1.0, 2.0)
+        # Only an infinite constant marks a node degenerate.
+        ten = BoundPoint(2.0, 10.0, DUMMY)
+        assert not ten.degenerate
+        assert global_constant([good, ten], 1.0, 2.0).points[1].C_k == 10.0
 
     def test_sorting_and_empty(self):
         with pytest.raises(DomainViolation):
-            stitch([BoundPoint(2.0, 1.0, DUMMY, False), BoundPoint(1.0, 1.0, DUMMY, False)])
+            global_constant([BoundPoint(2.0, 1.0, DUMMY), BoundPoint(1.0, 1.0, DUMMY)], 2.0, 1.0)
         with pytest.raises(CoverageGap):
-            stitch([])
+            global_constant([], 1.0, 1.0)
 
     def test_lift_dominates_interior(self):
         # Any d inside [c_k, c_{k+1}] is covered by D_k.
         points = optimize_grid([0.9, 1.0, 1.1])
-        cert = stitch(points)
+        cert = global_constant(points, 0.9, 1.1)
         for k, p in enumerate(points[:-1]):
             for d in np.linspace(p.c, points[k + 1].c, 23):
                 assert continuity_lift(p.C_k, p.c, float(d)) <= cert.lifted[k] + 1e-15
@@ -93,10 +96,17 @@ class TestStitch:
         # applied to the largest node constant.
         grid = [1.0 + 0.1 * k for k in range(11)]
         constants = [1.0 + 0.003 * ((k * 7) % 5) for k in range(11)]
-        points = [BoundPoint(c, C, DUMMY, False) for c, C in zip(grid, constants)]
-        cert = stitch(points)
+        points = [BoundPoint(c, C, DUMMY) for c, C in zip(grid, constants)]
+        cert = global_constant(points, grid[0], grid[-1])
         uniform = max(constants) * (grid[0] + 0.1 + 1.0) / (grid[0] + 1.0)
         assert max(cert.lifted) <= uniform + 1e-12
+
+    def test_only_points_is_set(self):
+        # The derived fields are computed from the points, never passed in.
+        points = flat_points([0.9, 1.0, 1.1])
+        assert StitchedCertificate(tuple(points)) == global_constant(points, 0.9, 1.1)
+        with pytest.raises(TypeError):
+            StitchedCertificate(tuple(points), (1.0, 1.0, 1.0))
 
 
 class TestCorners:
@@ -110,7 +120,8 @@ class TestCorners:
     def test_corner_large(self):
         assert corner_large(40.0) == pytest.approx(1.01859375, abs=1e-12)
         assert corner_large(40.0) < 1.0186
-        assert corner_large(0.5) == 1.5
+        assert corner_large(0.5) == 25.0 / 16.0
+        assert corner_large(0.6) == 25.0 / 16.0
         assert corner_large(1e9) == pytest.approx(1.0, abs=1e-8)
         with pytest.raises(DomainViolation):
             corner_large(0.49)
@@ -118,11 +129,28 @@ class TestCorners:
     def test_corner_large_shape(self):
         # The ratio (1 - 1/(4c))(c+1)/c is unimodal on [1/2, inf): it
         # rises to 25/16 at c = 2/3 (the shift constant) and decreases
-        # beyond, so the returned value bounds the tail for cn >= 2/3.
-        assert corner_large(2.0 / 3.0) == pytest.approx(25.0 / 16.0, abs=1e-14)
-        values = [corner_large(float(c)) for c in np.geomspace(2.0 / 3.0, 1e4, 200)]
+        # beyond, so the tail's supremum is 25/16 up to cn = 2/3 and the
+        # value at cn after it.
+        assert corner_large(2.0 / 3.0) == 25.0 / 16.0
+        values = [corner_large(float(c)) for c in np.geomspace(0.7, 1e4, 200)]
         assert all(u > v for u, v in zip(values, values[1:]))
-        assert corner_large(0.5) < corner_large(2.0 / 3.0)
+        assert corner_large(0.5) == corner_large(2.0 / 3.0) > corner_large(0.7)
+
+    @pytest.mark.parametrize("cn", [0.5, 0.6, 2.0 / 3.0])
+    def test_corner_large_bounds_the_exact_tail_sup(self, cn):
+        # In exact arithmetic the ratio is 1 + 3/(4c) - 1/(4c^2), whose only
+        # critical point is the maximum at c = 2/3; every cn here lies
+        # at or below 2/3 (2.0 / 3.0 rounds down), so the sup over
+        # [cn, inf) is the value at 2/3.
+        def ratio(c):
+            return 1 + Fraction(3, 4) / c - Fraction(1, 4) / (c * c)
+
+        sup = ratio(Fraction(2, 3))
+        assert sup == Fraction(25, 16)
+        assert Fraction(cn) <= Fraction(2, 3)
+        samples = [Fraction(cn) + Fraction(k, 64) for k in range(640)]
+        assert max(ratio(c) for c in samples) <= sup
+        assert Fraction(corner_large(cn)) >= sup
 
 
 class TestGlobalConstant:
@@ -168,7 +196,7 @@ class TestSqrtConstant:
         base = sqrt_constant(base_points)
         bumped = list(base_points)
         k = 1000
-        bumped[k] = BoundPoint(base_points[k].c, 1.1, DUMMY, False)
+        bumped[k] = BoundPoint(base_points[k].c, 1.1, DUMMY)
         delta = sqrt_constant(bumped) - base
         expected = (
             0.2 / (grid[k] + 1.0) * (math.sqrt(grid[k + 1]) - math.sqrt(grid[k]))
@@ -177,7 +205,7 @@ class TestSqrtConstant:
         assert delta > 0.0
         # The last node multiplies no interval, so bumping it is flat.
         bumped_last = list(base_points)
-        bumped_last[-1] = BoundPoint(base_points[-1].c, 2.0, DUMMY, False)
+        bumped_last[-1] = BoundPoint(base_points[-1].c, 2.0, DUMMY)
         assert sqrt_constant(bumped_last) == base
 
     def test_span_and_degeneracy_contract(self):
@@ -186,8 +214,9 @@ class TestSqrtConstant:
         with pytest.raises(CoverageGap):
             sqrt_constant(flat_points([0.0195, 1.0, 39.0]))
         bad = flat_points([0.0195, 1.0, 40.0])
-        bad[1] = BoundPoint(1.0, 10.0, DUMMY, True)
-        with pytest.raises(DegenerateNode):
+        bad[1] = BoundPoint(1.0, math.inf, DUMMY)
+        assert bad[1].degenerate
+        with pytest.raises(DomainViolation):
             sqrt_constant(bad)
 
     @pytest.mark.parametrize("C", [math.nan, math.inf, 0.5])
@@ -195,11 +224,16 @@ class TestSqrtConstant:
         # Every node constant must be finite and at least 1, as in
         # continuity_lift; a NaN would otherwise pass into the sum.
         points = flat_points(build_paper_grid())
-        points[1000] = BoundPoint(points[1000].c, C, DUMMY, False)
+        points[1000] = BoundPoint(points[1000].c, C, DUMMY)
         with pytest.raises(DomainViolation):
             sqrt_constant(points)
         with pytest.raises(DomainViolation):
-            stitch(points)
+            global_constant(points, 0.0195, 40.0)
+
+
+@pytest.fixture(scope="module")
+def paper_payload():
+    return global_constant(certify_grid(build_paper_grid()), 0.0195, 40.0).to_dict()
 
 
 class TestSerialization:
@@ -211,16 +245,15 @@ class TestSerialization:
         assert back == cert
         assert back.global_C == cert.global_C
 
-    def test_round_trip_without_corners(self):
-        cert = stitch(optimize_grid([1.0, 1.5]))
-        back = StitchedCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
-        assert back == cert
-        assert back.corner_small is None
+    def test_paper_round_trip_is_exact(self, paper_payload):
+        back = StitchedCertificate.from_dict(json.loads(json.dumps(paper_payload)))
+        assert back.to_dict() == paper_payload
+        assert back == StitchedCertificate.from_dict(paper_payload)
 
     def test_mixture_round_trip_is_exact(self):
         points = certify_grid([1e-4, 0.3, 0.3005, 1.0, 1.1])
         assert points[0].params is None
-        cert = stitch(points)
+        cert = global_constant(points, 1e-4, 1.1)
         payload = json.loads(json.dumps(cert.to_dict()))
         assert payload["params"][0] is None
         assert len(payload["mixtures"]) == len({p.params for p in points[1:]})
@@ -235,19 +268,14 @@ class TestSerialization:
         assert payload["params"] == [[1.0, 1.0]] * 3
 
     def test_constant_ten_is_not_degenerate(self):
-        cert = stitch([BoundPoint(1.0, 1.01, DUMMY), BoundPoint(2.0, 10.0, DUMMY)])
+        points = [BoundPoint(1.0, 1.01, DUMMY), BoundPoint(2.0, 10.0, DUMMY)]
+        cert = global_constant(points, 1.0, 2.0)
         back = StitchedCertificate.from_dict(json.loads(json.dumps(cert.to_dict())))
         assert back == cert
         assert not back.points[1].degenerate
-        flagged = StitchedCertificate(
-            (BoundPoint(1.0, 1.01, DUMMY), BoundPoint(2.0, 1.01, DUMMY, True)),
-            cert.lifted, None, None, cert.global_C,
-        )
-        with pytest.raises(DegenerateNode):
-            flagged.to_dict()
 
     def test_length_mismatch_rejected(self):
-        cert = stitch(optimize_grid([1.0, 1.5]))
+        cert = global_constant(optimize_grid([1.0, 1.5]), 1.0, 1.5)
         payload = cert.to_dict()
         payload["C_k"] = payload["C_k"][:-1]
         with pytest.raises(CoverageGap):
