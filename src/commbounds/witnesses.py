@@ -14,9 +14,15 @@ infinity.  In the masses v_k = w_k (1/2) sqrt(pi / b_k) this is a linear
 program, solved by HiGHS.  Only its cost depends on c, so a process
 builds the program once, on its first fit; each fit loads it into a new
 HiGHS instance with its own cost, so no solver state passes from one fit
-to the next.  The result is bit for bit what
-`scipy.optimize.linprog(method="highs")` returns for the same program.
-The fit is deterministic; regenerate the table with
+to the next.  Rows that another row implies are left out when the
+program is built: from x of about 5.96e4 on, every erf(sqrt(b_k) x)
+rounds to 1, so 807 samples and the limit at infinity share one row of
+coefficients, and two samples near 5.85e4 share another.  Among rows
+with equal coefficients, each side of the range keeps only its tightest
+bound, which leaves the feasible set as it is: the program has 4386
+rows, not 6002.  The result is bit for bit what
+`scipy.optimize.linprog(method="highs")` returns for the full program,
+with every row.  The fit is deterministic; regenerate the table with
 
     commbounds fit-witnesses
 
@@ -57,10 +63,18 @@ _HIGHS_OPTIONS = (
 
 @functools.cache
 def _witness_lp() -> highs_core.HighsLp:
-    """The witness program with zero cost, in the form linprog hands to HiGHS.
+    """The witness program with zero cost, as one HiGHS model.
 
-    The CSC arrays and the bounds (infinite ones as +-kHighsInf) are those
-    that `linprog(method="highs")` builds, so HiGHS takes the same path.
+    Each sample x, and the limit at infinity, gives one row of
+    coefficients erf(sqrt(b_k) x) and a target f1(x), and two
+    constraints: basis . v + u >= target (the u-side) and
+    basis . v + l <= target (the l-side).  Among rows with equal
+    coefficients the u-side keeps only the one with the largest target
+    and the l-side only the one with the smallest, since each implies
+    the others of its side; from x of about 5.96e4 on every coefficient
+    rounds to 1, so this drops 1616 of the 6002 rows.  The kept rows of
+    each side stay in sample order, the u-side block first, with the
+    bounds (infinite ones as +-kHighsInf) in the form linprog builds.
     Only the cost depends on c, so a process builds this once, on its
     first fit.  scipy has no public API to load one program and solve it
     with several costs; this uses `scipy.optimize._highspy._core`, the
@@ -70,10 +84,16 @@ def _witness_lp() -> highs_core.HighsLp:
     n = WIDTHS.size
     basis = np.vstack((erf(np.multiply.outer(_SAMPLE, np.sqrt(WIDTHS))), np.ones(n)))
     target = np.concatenate((_SAMPLE / (_SAMPLE + 1.0), [1.0]))
-    ones = np.ones((target.size, 1))
-    zeros = np.zeros((target.size, 1))
-    matrix = csc_array(np.block([[-basis, -ones, zeros], [basis, zeros, ones]]))
-    rhs = np.concatenate((-target, target))
+    _, group = np.unique(basis, axis=0, return_inverse=True)
+    order = np.lexsort((target, group))  # by coefficients, then by target
+    edge = np.diff(group[order]) != 0
+    upper = np.sort(order[np.append(edge, True)])  # the largest target of each group
+    lower = np.sort(order[np.insert(edge, 0, True)])  # the smallest
+    matrix = csc_array(np.block([
+        [-basis[upper], -np.ones((upper.size, 1)), np.zeros((upper.size, 1))],
+        [basis[lower], np.zeros((lower.size, 1)), np.ones((lower.size, 1))],
+    ]))
+    rhs = np.concatenate((-target[upper], target[lower]))
     lp = highs_core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n + 2
     lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size

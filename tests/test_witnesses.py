@@ -11,6 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
+import scipy.sparse
 import scipy.special
 
 from commbounds import approx
@@ -29,7 +30,7 @@ from commbounds.approx import (
 )
 from commbounds.optimize import build_paper_grid, certify_grid
 from commbounds.cli import main
-from commbounds.witnesses import FIT_NODES, WIDTHS, fit_witness, load_witnesses
+from commbounds.witnesses import FIT_NODES, WIDTHS, _witness_lp, fit_witness, load_witnesses
 
 WITNESSES = load_witnesses()
 
@@ -158,12 +159,17 @@ def random_mixtures():
 RANDOM_MIXTURES = random_mixtures()
 
 
-def linprog_witness(c):
-    """The witness program at c, written out densely and solved by linprog(method="highs")."""
-    half_mass = 0.5 * np.sqrt(np.pi / WIDTHS)
+def full_program():
+    """Every row of the sampled program: erf(sqrt(b_k) x) and f1(x) per sample, then the limit."""
     xs = np.geomspace(1e-4, 1e8, 3000)
     rows = np.vstack((scipy.special.erf(np.outer(xs, np.sqrt(WIDTHS))), np.ones(WIDTHS.size)))
-    target = np.append(xs / (xs + 1.0), 1.0)
+    return rows, np.append(xs / (xs + 1.0), 1.0)
+
+
+def linprog_witness(c):
+    """The full witness program at c, written out densely and solved by linprog(method="highs")."""
+    half_mass = 0.5 * np.sqrt(np.pi / WIDTHS)
+    rows, target = full_program()
     ones, zeros = np.ones((target.size, 1)), np.zeros((target.size, 1))
     result = scipy.optimize.linprog(
         np.append(c / half_mass, [1.0, -1.0]),
@@ -281,10 +287,33 @@ class TestFitWitness:
     def test_matches_linprog_bit_for_bit(self):
         # The fits share one loaded program; this order shows that a fit
         # at one end of FIT_NODES leaves nothing behind for the next.
-        order = (119, 0, 60, 0)
+        order = (119, 0, 30, 60, 90, 0)
         expected = {k: linprog_witness(float(FIT_NODES[k])) for k in set(order)}
         for k in order:
             assert fit_witness(float(FIT_NODES[k])) == expected[k], k
+
+    def test_program_keeps_the_tightest_of_equal_rows(self):
+        rows, target = full_program()
+        lp = _witness_lp()
+        assert lp.num_row_ == 4386
+        n = WIDTHS.size
+        a = lp.a_matrix_
+        matrix = scipy.sparse.csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).toarray()
+        bound = np.asarray(lp.row_upper_)
+        size = int((matrix[:, n] == -1.0).sum())
+        assert (matrix[:size, n:] == [-1.0, 0.0]).all() and (matrix[size:, n:] == [0.0, 1.0]).all()
+        index = {(row.tobytes(), t): k for k, (row, t) in enumerate(zip(rows, target))}
+        sides = (
+            (-matrix[:size, :n], -bound[:size], np.greater_equal),  # rows . v + u >= target
+            (matrix[size:, :n], bound[size:], np.less_equal),  # rows . v + l <= target
+        )
+        for kept, kept_target, at_least_as_tight in sides:
+            origin = [index[row.tobytes(), t] for row, t in zip(kept, kept_target)]
+            assert (np.diff(origin) > 0).all()
+            tightest = {row.tobytes(): t for row, t in zip(kept, kept_target)}
+            assert len(tightest) == len(kept)
+            for row, t in zip(rows, target):
+                assert at_least_as_tight(tightest[row.tobytes()], t)
 
     def test_concurrent_fits(self):
         # Fits share only the loaded program, which none of them writes;
