@@ -21,6 +21,10 @@ bound, a monotone tail bound and an explicit floating-point margin.
 `certify_mixtures` encloses a whole list of mixtures in one batched pass
 that shares the work on their common initial sample; each enclosure is
 the one its mixture gets alone, bit for bit.
+
+scipy.special's erf is imported by the first call that needs it
+(`mixture_residual` or `certify_mixtures`), so importing this module
+loads no scipy module.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf_array
 
 __all__ = [
     "DomainViolation",
@@ -377,10 +380,12 @@ def mixture_residual(x, params: MixtureParams) -> np.ndarray:
     Vectorised over x; the sum runs over the last axis, so each value
     is computed identically whatever the shape of x.
     """
+    from scipy.special import erf
+
     x = np.asarray(x, dtype=float)
     b = np.asarray(params.b)
     mass = 0.5 * np.asarray(params.w) * np.sqrt(np.pi / b)
-    return x / (x + 1.0) - (_erf_array(np.multiply.outer(x, np.sqrt(b))) * mass).sum(axis=-1)
+    return x / (x + 1.0) - (erf(np.multiply.outer(x, np.sqrt(b))) * mass).sum(axis=-1)
 
 
 def certify_mixture(params: MixtureParams) -> MixtureCertificate:
@@ -421,6 +426,8 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
     therefore the one its kernel gets alone, bit for bit, whatever else
     is in the batch.
     """
+    from scipy.special import erf
+
     params_seq = list(params_seq)
     if not params_seq:
         return []
@@ -431,7 +438,7 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
     widths, column = np.unique(np.concatenate([p.b for p in kernels]), return_inverse=True)
     xs = np.concatenate(([0.0], np.geomspace(1e-6, _TAIL_START, _INITIAL_POINTS)))
     y0 = np.clip(1.0 / np.sqrt(2.0 * widths), xs[:-1, None], xs[1:, None])
-    erf0 = _erf_array(np.multiply.outer(xs, np.sqrt(widths)))
+    erf0 = erf(np.multiply.outer(xs, np.sqrt(widths)))
     exp0 = np.exp(-widths * y0 * y0)
     # Past the last row where it is below 1 (above 0) for some width, erf0
     # (exp0) is saturated, and a kernel's terms there are its masses (zeros).
@@ -451,7 +458,7 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
         # Per-term factors of a kernel, gathered for a cell by one index.
         runs.append((run[0], np.stack((np.sqrt(b), mass, 1.0 / np.sqrt(2.0 * b), weight, -b), axis=1)))
         g_inf.append(mass.sum(axis=-1))
-        g_tail.append((_erf_array(np.sqrt(b) * _TAIL_START) * mass).sum(axis=-1))
+        g_tail.append((erf(np.sqrt(b) * _TAIL_START) * mass).sum(axis=-1))
         margin.append(_FP_ULPS * (size + 2) * _EPS * (1.0 + g_inf[-1]))
         erf_sums = _sample_sums(col, erf_live[col].max(), g_inf[-1][:, None], mass, erf0)
         values.append(xs / (xs + 1.0) - erf_sums)
@@ -541,6 +548,8 @@ def _bisect(runs, edges, owner, lo, hi):
     runs holds each size's first kernel and per-term factors, and edges
     the index of each run's first cell.
     """
+    from scipy.special import erf
+
     mid = lo[:, 1]
     sums = np.empty(mid.size)
     bump = np.empty(lo.shape)
@@ -548,7 +557,7 @@ def _bisect(runs, edges, owner, lo, hi):
         if i == j:
             continue
         f = factors[owner[i:j] - start]
-        sums[i:j] = (_erf_array(mid[i:j, None] * f[:, 0]) * f[:, 1]).sum(axis=-1)
+        sums[i:j] = (erf(mid[i:j, None] * f[:, 0]) * f[:, 1]).sum(axis=-1)
         f = f[:, None]
         y = np.minimum(np.maximum(f[..., 2, :], lo[i:j, :, None]), hi[i:j, :, None])
         bump[i:j] = (f[..., 3, :] * y * np.exp(f[..., 4, :] * y * y)).sum(axis=-1)

@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import minimize_scalar
-
 from commbounds.approx import DomainViolation, f1
 from commbounds.optimize import pattern_search_nd
 
@@ -138,6 +136,8 @@ def gamma_sin(r: float) -> tuple[float, float]:
     of its log-derivative is strictly increasing because 1/sin(t)^2 >
     r/t^2 on (0, pi) for r < 1.
     """
+    from scipy.optimize import minimize_scalar
+
     r = _check_unit_interval(r)
 
     def objective(t: float) -> float:

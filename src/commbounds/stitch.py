@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
-from scipy.integrate import quad
-
 from commbounds.approx import DomainViolation, GaussianParams, MixtureParams
 from commbounds.formulas import csc1, scaled_cayley_Cc
 from commbounds.optimize import BoundPoint
@@ -258,6 +256,7 @@ def gamma_half_via_Cc() -> float:
     (2/pi) integral of min(csc 1, Cayley(u^2))/(1+u^2) du, which is
     smooth; with the curve replaced by 1 the integral is exactly 1.
     """
+    from scipy.integrate import quad
 
     def smooth(u: float) -> float:
         return 2.0 * min(csc1(), scaled_cayley_Cc(u * u)) / (1.0 + u * u)

@@ -27,6 +27,11 @@ with every row.  The fit is deterministic; regenerate the table with
     commbounds fit-witnesses
 
 (add `--out PATH` to write elsewhere, for instance to compare).
+
+scipy is imported on first use.  Reading the table needs none of it;
+the first fit imports scipy.special's erf, scipy.sparse and the HiGHS
+binding in scipy.optimize, so only the fit depends on that private
+module.
 """
 
 from __future__ import annotations
@@ -37,10 +42,6 @@ import math
 from importlib import resources
 
 import numpy as np
-from scipy.optimize import linprog  # noqa: F401 -- perfbench/spans.py traces it under this module
-from scipy.optimize._highspy import _core as highs_core
-from scipy.sparse import csc_array
-from scipy.special import erf
 
 from commbounds.approx import DomainViolation, MixtureParams
 
@@ -51,18 +52,22 @@ FIT_NODES = np.geomspace(0.0195, 40.0, 120)
 _SAMPLE = np.geomspace(1e-4, 1e8, 3000)
 _HALF_MASS = 0.5 * np.sqrt(np.pi / WIDTHS)
 _TABLE = "mixture_witnesses.json"
-# The options linprog(method="highs") passes by default: no output, presolve, dual simplex.
-_HIGHS_OPTIONS = (
-    ("output_flag", False),
-    ("log_to_console", False),
-    ("highs_debug_level", int(highs_core.HighsDebugLevel.kHighsDebugLevelNone)),
-    ("presolve", "on"),
-    ("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-)
+
+
+def __getattr__(name: str):
+    # perfbench/spans.py traces `linprog` under this module, although
+    # fit_witness no longer calls it (CHANGES.md has a FOUND line on
+    # re-pointing those spans to fit_witness); scipy.optimize is imported
+    # only when the name is looked up.
+    if name == "linprog":
+        from scipy.optimize import linprog
+
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @functools.cache
-def _witness_lp() -> highs_core.HighsLp:
+def _witness_lp():
     """The witness program with zero cost, as one HiGHS model.
 
     Each sample x, and the limit at infinity, gives one row of
@@ -81,6 +86,10 @@ def _witness_lp() -> highs_core.HighsLp:
     binding linprog itself calls (scipy >= 1.15), and so depends on that
     private module.
     """
+    from scipy.optimize._highspy import _core as highs_core
+    from scipy.sparse import csc_array
+    from scipy.special import erf
+
     n = WIDTHS.size
     basis = np.vstack((erf(np.multiply.outer(_SAMPLE, np.sqrt(WIDTHS))), np.ones(n)))
     target = np.concatenate((_SAMPLE / (_SAMPLE + 1.0), [1.0]))
@@ -125,9 +134,19 @@ def fit_witness(c: float) -> MixtureParams:
     """
     if not (math.isfinite(c) and c > 0.0):
         raise DomainViolation(f"fit_witness needs c positive and finite, got {c!r}")
+    from scipy.optimize._highspy import _core as highs_core
+
+    # The options linprog(method="highs") passes by default: no output, presolve, dual simplex.
+    options = (
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("highs_debug_level", int(highs_core.HighsDebugLevel.kHighsDebugLevelNone)),
+        ("presolve", "on"),
+        ("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    )
     cost = np.concatenate((c / _HALF_MASS, [1.0, -1.0]))
     highs = highs_core._Highs()
-    statuses = [highs.setOptionValue(option, value) for option, value in _HIGHS_OPTIONS]
+    statuses = [highs.setOptionValue(option, value) for option, value in options]
     statuses += [
         highs.passModel(_witness_lp()),
         highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost),
