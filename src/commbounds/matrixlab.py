@@ -7,6 +7,16 @@ top of that sit the unitarily-invariant norm family, checkers for each
 matrix inequality of the program, the fixed counterexample report, and
 a seeded Monte-Carlo campaign that hunts for conjecture violations over
 random instances, evaluating the trials of each size as one stack.
+
+The conjecture ratio's numerator is evaluated in the eigenbasis.  With
+A = U diag(lambda) U* and B = V diag(mu) V*,
+
+    f(A)X - Xf(B) = U [(f(lambda_i) - f(mu_j)) o U*XV] V*,
+
+the Schur (entrywise) product o with the matrix of differences of f on
+the two spectra.  U and V are unitary, so the bracket has the singular
+values of f(A)X - Xf(B) and every unitarily-invariant norm of the two
+agrees; f(A) and f(B) are never formed.
 """
 
 from __future__ import annotations
@@ -187,7 +197,11 @@ def _norm_from_singulars(values: np.ndarray, kind: NormKind) -> np.ndarray:
             )
         return values[..., : kind.k].sum(axis=-1)
     if kind.tag == "schatten":
-        return (values**kind.p).sum(axis=-1) ** (1.0 / kind.p)
+        # s_0 (sum (s/s_0)^p)^(1/p) with s_0 the largest: the powers lie in
+        # [0, 1], so they neither overflow nor all underflow at large p.
+        top = values[..., :1]
+        scaled = values / np.where(top > 0.0, top, 1.0)
+        return top[..., 0] * (scaled**kind.p).sum(axis=-1) ** (1.0 / kind.p)
     if kind.tag == "trace":
         return values.sum(axis=-1)
     return np.sqrt((values**2).sum(axis=-1))
@@ -203,17 +217,31 @@ def ui_norm(X, kind: NormKind) -> float:
     return float(_norm_from_singulars(singular_values(X), kind))
 
 
-def _psd_apply(eigenvalues: np.ndarray, vectors: np.ndarray, f) -> np.ndarray:
-    """f of one PSD spectrum or a stack of them; f maps an array of eigenvalues.
+def _psd_clip(eigenvalues: np.ndarray) -> np.ndarray:
+    """An ascending spectrum, or a stack of them, checked PSD and clamped at 0.
 
     A spectrum is PSD when its least eigenvalue is at least
-    -1e-10 max(1, largest eigenvalue); the roundoff negatives are clamped to 0.
+    -1e-10 max(1, largest eigenvalue); the roundoff negatives become 0.
     """
     low = eigenvalues[..., 0]
     negative = low < -1e-10 * np.maximum(1.0, eigenvalues[..., -1])
     if negative.any():
         raise DomainViolation(f"matrix has negative eigenvalue {np.min(low[negative])}, not PSD")
-    return _spectral_apply(f(np.clip(eigenvalues, 0.0, None)), vectors)
+    return np.clip(eigenvalues, 0.0, None)
+
+
+def _f_values(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
+    """A scalar f applied to each entry of a 1-d float array."""
+    return np.array([f(v) for v in values.tolist()], dtype=float)
+
+
+def _eigenbasis_commutator(f_lam, u, f_mu, v, x) -> np.ndarray:
+    """(f(lambda_i) - f(mu_j)) o U*XV, which is U*(f(A)X - Xf(B))V.
+
+    Takes f on the clipped spectra of A = U diag(lambda) U* and
+    B = V diag(mu) V*; works on one triple or on stacks of them.
+    """
+    return (f_lam[..., :, None] - f_mu[..., None, :]) * (_adjoint(u) @ x @ v)
 
 
 def matrix_function(A, f: Callable[[float], float]) -> np.ndarray:
@@ -224,7 +252,8 @@ def matrix_function(A, f: Callable[[float], float]) -> np.ndarray:
     when its norm exceeds 1; anything more negative is a genuine domain
     violation for f on [0, inf).
     """
-    return _psd_apply(*hermitian_eig(A), np.vectorize(f, otypes=[float]))
+    eigenvalues, vectors = hermitian_eig(A)
+    return _spectral_apply(_f_values(f, _psd_clip(eigenvalues)), vectors)
 
 
 def _unitary(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -277,18 +306,26 @@ def verify_conjecture_ratio(A, B, X, f: Callable[[float], float], kind: NormKind
     with f(0) = 0.  A vanishing denominator together with an (up to
     roundoff) vanishing numerator reports 0, the conjecture being
     vacuous there; a vanishing denominator alone is an error.
+
+    The numerator is the norm of (f(lambda_i) - f(mu_j)) o U*XV, from the
+    spectra A = U diag(lambda) U* and B = V diag(mu) V*: it equals
+    U*(f(A)X - Xf(B))V, and a unitarily-invariant norm does not see U
+    and V.  AX - XB is formed from A, B and X as given, and one svd call
+    gives the singular values of X, of the numerator's matrix and of
+    AX - XB.
     """
-    nx = ui_norm(X, kind)
+    x = _as_matrix(X, "X")
+    lam, u = hermitian_eig(A)
+    mu, v = hermitian_eig(B)
+    lam, mu = _psd_clip(lam), _psd_clip(mu)
+    if x.shape != (len(lam), len(mu)):
+        raise DomainViolation(f"X must be {len(lam)} x {len(mu)}, got {x.shape}")
+    a, b = (np.asarray(m, dtype=np.complex128) for m in (A, B))
+    numerator_matrix = _eigenbasis_commutator(_f_values(f, lam), u, _f_values(f, mu), v, x)
+    singulars = np.linalg.svd(np.array((x, numerator_matrix, a @ x - x @ b)), compute_uv=False)
+    nx, numerator, nk = (float(value) for value in _norm_from_singulars(singulars, kind))
     if nx == 0.0:
         raise ZeroDenominator("X has zero norm")
-    f_array = np.vectorize(f, otypes=[float])
-    fa = _psd_apply(*hermitian_eig(A), f_array)
-    fb = _psd_apply(*hermitian_eig(B), f_array)
-    a, b, x = (np.asarray(m, dtype=np.complex128) for m in (A, B, X))
-    if x.shape != (len(fa), len(fb)):
-        raise DomainViolation(f"X must be {len(fa)} x {len(fb)}, got {x.shape}")
-    numerator = float(_norm(fa @ x - x @ fb, kind))
-    nk = float(_norm(a @ x - x @ b, kind))
     denominator = nx * f(nk / nx)
     if denominator == 0.0:
         if numerator <= 1e-12 * max(nx, 1.0):
@@ -523,10 +560,11 @@ def _stack_ratios(cfg: CampaignConfig, a, b, x):
     comm_norm = _norm(a @ x - x @ b, cfg.norm)
     if cfg.min_commutator is not None:
         evaluated &= comm_norm >= cfg.min_commutator
-    fa = _psd_apply(lam_a[evaluated], vec_a[evaluated], f)
-    fb = fa if cfg.a_equals_b else _psd_apply(lam_b[evaluated], vec_b[evaluated], f)
-    xe = x[evaluated]
-    numerator = _norm(fa @ xe - xe @ fb, cfg.norm)
+    f_a = f(_psd_clip(lam_a[evaluated]))
+    f_b = f_a if cfg.a_equals_b else f(_psd_clip(lam_b[evaluated]))
+    numerator = _norm(
+        _eigenbasis_commutator(f_a, vec_a[evaluated], f_b, vec_b[evaluated], x[evaluated]), cfg.norm
+    )
     denominator = f(comm_norm[evaluated])
     # A vanished denominator gives ratio 0 when the numerator vanishes too
     # (the conjecture is vacuous there); otherwise the trial is skipped.

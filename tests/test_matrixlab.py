@@ -284,6 +284,25 @@ class TestNormKind:
                 ui_norm(x, NormKind.hilbert_schmidt()), rel=1e-12
             )
 
+    def test_schatten_large_p_at_extreme_scales(self):
+        # (sum s^p)^(1/p) overflows or underflows in floats at p = 400 when
+        # s is 10 or 1e-3; mpmath's exponent range holds the sum exactly.
+        assert ui_norm(10.0 * np.eye(2), NormKind.schatten(400.0)) == pytest.approx(
+            10.0 * 2.0 ** (1.0 / 400.0), rel=1e-14
+        )
+        assert ui_norm(1e-3 * np.eye(2), NormKind.schatten(400.0)) == pytest.approx(
+            1e-3 * 2.0 ** (1.0 / 400.0), rel=1e-14
+        )
+        assert ui_norm(np.zeros((2, 3)), NormKind.schatten(400.0)) == 0.0
+        rng = np.random.default_rng(23)
+        with mpmath.workdps(30):
+            for p in (50.0, 400.0, 5000.0):
+                for scale in (1e-30, 1e-3, 10.0, 1e30):
+                    x = scale * random_complex(rng, 4, 3)
+                    values = mpmath.mp.svd_c(to_mp(x), compute_uv=False)
+                    ref = float(mpmath.fsum(s**p for s in values) ** (1 / mpmath.mpf(p)))
+                    assert ui_norm(x, NormKind.schatten(p)) == pytest.approx(ref, rel=1e-13)
+
     def test_kyfan_out_of_range_at_evaluation(self):
         with pytest.raises(BadParameter):
             ui_norm(np.eye(2), NormKind.ky_fan(3))
@@ -516,7 +535,74 @@ class TestDoublingEmbed:
             doubling_embed(np.eye(2), np.eye(3), np.eye(2))
 
 
+def reference_ratio(a, b, x, f, kind):
+    """The conjecture ratio with f(A) and f(B) formed as matrices from
+    scipy.linalg.eigh, and the numerator as the norm of f(A)X - Xf(B)."""
+
+    def f_of(m):
+        values, vectors = scipy.linalg.eigh(m)
+        return (vectors * [f(max(float(v), 0.0)) for v in values]) @ vectors.conj().T
+
+    nx = ui_norm(x, kind)
+    numerator = ui_norm(f_of(a) @ x - x @ f_of(b), kind)
+    return numerator / (nx * f(ui_norm(a @ x - x @ b, kind) / nx))
+
+
 class TestConjectureRatio:
+    def test_matches_scipy_reference_every_kind(self):
+        rng = np.random.default_rng(75)
+        shapes = [(n, n) for n in (3, 4, 5, 6)] + [(3, 5), (5, 3)]
+        for rows, cols in shapes:
+            for _ in range(10):
+                a = random_psd(rng, rows)
+                b = random_psd(rng, cols)
+                x = random_complex(rng, rows, cols)
+                for f in (f1, math.sqrt, random_concave(rng)):
+                    for kind in ALL_KINDS_3:
+                        ratio = verify_conjecture_ratio(a, b, x, f, kind)
+                        assert ratio == pytest.approx(reference_ratio(a, b, x, f, kind), rel=1e-12, abs=0.0)
+
+    def test_singular_a_under_sqrt_matches_reference(self):
+        # A zero first or last row of A's factor gives A a zero first or last
+        # row and column, and both eigensolvers then return the eigenvalue 0
+        # with no roundoff (a zero middle row does not); a roundoff-sized
+        # eigenvalue would move sqrt by about 1e-8 and the ratio far past 1e-12.
+        rng = np.random.default_rng(76)
+        for rows, cols in ((3, 3), (3, 5), (4, 2)):
+            for _ in range(10):
+                m = random_complex(rng, rows)
+                m[int(rng.choice([0, rows - 1]))] = 0.0
+                a = m @ m.conj().T
+                b = random_psd(rng, cols)
+                x = random_complex(rng, rows, cols)
+                assert hermitian_eig(a)[0][0] <= 0.0 and scipy.linalg.eigh(a)[0][0] <= 0.0
+                for kind in (NormKind.operator(), NormKind.ky_fan(2), NormKind.trace(), NormKind.hilbert_schmidt()):
+                    ratio = verify_conjecture_ratio(a, b, x, math.sqrt, kind)
+                    assert ratio == pytest.approx(reference_ratio(a, b, x, math.sqrt, kind), rel=1e-12, abs=0.0)
+
+    def test_schatten_large_p_on_scaled_wishart(self):
+        rng = np.random.default_rng(77)
+        kind = NormKind.schatten(400.0)
+        for _ in range(10):
+            a = 100.0 * random_psd(rng, 4)
+            b = 100.0 * random_psd(rng, 4)
+            x = random_complex(rng, 4)
+            ratio = verify_conjecture_ratio(a, b, x, f1, kind)
+            assert math.isfinite(ratio) and ratio > 0.0
+            assert ratio == pytest.approx(reference_ratio(a, b, x, f1, kind), rel=1e-12, abs=0.0)
+
+    def test_rejects_non_psd_a_and_skew_b(self):
+        x = np.array([[1.0, 0.5j], [0.2, 1.0]])
+        with pytest.raises(DomainViolation):
+            verify_conjecture_ratio(np.diag([-0.5, 1.0]), np.eye(2), x, f1, NormKind.operator())
+        with pytest.raises(DomainViolation):
+            verify_conjecture_ratio(np.eye(2), np.diag([1e6, -1e-3]), x, f1, NormKind.operator())
+        skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NotHermitian):
+            verify_conjecture_ratio(np.eye(2), skew, x, f1, NormKind.operator())
+        with pytest.raises(NotHermitian):
+            verify_conjecture_ratio(2.0 * np.eye(2) + 1e-9 * skew, np.eye(2), x, f1, NormKind.operator())
+
     def test_scalar_multiples_of_identity_report_zero(self):
         ratio = verify_conjecture_ratio(
             2.0 * np.eye(3), 2.0 * np.eye(3), np.eye(3), f1, NormKind.operator()
