@@ -32,6 +32,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields
 from importlib import resources
 
 from commbounds import witnesses
@@ -125,25 +126,11 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def parse_norm(text: str) -> NormKind:
-    """Parse operator | trace | hs | kyfan:K | schatten:P."""
-    name, _, arg = text.partition(":")
-    name = name.strip().lower()
+    """NormKind.parse, with a spelling it rejects as a usage error."""
     try:
-        if name == "operator" and not arg:
-            return NormKind.operator()
-        if name == "trace" and not arg:
-            return NormKind.trace()
-        if name in ("hs", "hilbert-schmidt") and not arg:
-            return NormKind.hilbert_schmidt()
-        if name == "kyfan" and arg:
-            return NormKind.ky_fan(int(arg))
-        if name == "schatten" and arg:
-            return NormKind.schatten(float(arg))
-    except (ValueError, BadParameter) as exc:
-        raise UsageError(f"bad norm {text!r}: {exc}") from exc
-    raise UsageError(
-        f"unknown norm {text!r}; expected operator, trace, hs, kyfan:K or schatten:P"
-    )
+        return NormKind.parse(text)
+    except BadParameter as exc:
+        raise UsageError(str(exc)) from exc
 
 
 # The most values one start:stop:step range may make.
@@ -151,10 +138,11 @@ _MAX_RANGE_VALUES = 10**7
 
 
 def _parse_range(spec: str, what: str) -> list[float]:
-    """start:stop:step as start + k*step for k = 0, 1, ... up to stop + 1e-12.
+    """start:stop:step as start + k*step for k = 0, 1, ... up to stop + 1e-9*step.
 
-    A range of more than _MAX_RANGE_VALUES values is rejected before any
-    is made, and so is a step too small to move start in floating point.
+    The slack scales with the step, so it takes in roundoff at stop and
+    no further value.  A range of more than _MAX_RANGE_VALUES values is
+    rejected before any is made, and so is a step too small to move start.
     """
     parts = spec.split(":")
     if len(parts) != 3:
@@ -165,7 +153,7 @@ def _parse_range(spec: str, what: str) -> list[float]:
         raise UsageError(f"bad {what} {spec!r}: {exc}") from exc
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0.0 or stop < start:
         raise UsageError(f"{what} {spec!r} requires finite start <= stop and step > 0")
-    limit = stop + 1e-12
+    limit = stop + 1e-9 * step
     if start + step == start or (limit - start) / step > _MAX_RANGE_VALUES:
         raise UsageError(f"{what} {spec!r} makes more than {_MAX_RANGE_VALUES} values")
     values = []
@@ -330,17 +318,7 @@ def cmd_closed_forms(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = CampaignConfig(
-        n_max=args.n_max,
-        trials=args.trials,
-        seed=args.seed,
-        f=args.f,
-        norm=parse_norm(args.norm),
-        a_equals_b=args.a_equals_b,
-        unit_norm_a=args.unit_norm_a,
-        min_commutator=args.min_commutator,
-        threads=args.threads,
-    )
+    cfg = CampaignConfig(**{field.name: getattr(args, field.name) for field in fields(CampaignConfig)})
     report = monte_carlo_campaign(cfg)
     if args.out:
         _atomic_write(args.out, json.dumps(report.to_dict(), indent=2))
@@ -398,7 +376,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
     p.add_argument("--f", default="f1", choices=("f1", "sqrt"), help="scalar function")
-    p.add_argument("--norm", default="operator", help="operator|trace|hs|kyfan:K|schatten:P")
+    p.add_argument("--norm", type=parse_norm, default=NormKind.operator(), help=NormKind.SPELLINGS)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n-max", type=int, default=6, dest="n_max")
     p.add_argument("--a-equals-b", action="store_true", dest="a_equals_b")

@@ -4,8 +4,8 @@ Everything here is an explicit formula or a one-dimensional/
 two-dimensional minimization of one.  The gamma_* functions bound the
 best constant for f(x) = x^r at a given r; the pq_* functions evaluate
 the piecewise-quadratic antiderivative construction for f(x) = sqrt(x)
-and f(x) = x/(x+1); the remaining helpers are envelope bounds reused by
-the certificate stitcher.
+and f(x) = x/(x+1); of the remaining envelope bounds and thresholds, the
+certificate stitcher reuses csc1 and scaled_cayley_Cc.
 
 The f1 search polls the private kernel _pq_f1 on bare floats: it checks
 the knot and slope offset as PiecewiseQuadParams does, but takes c as

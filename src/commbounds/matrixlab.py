@@ -133,16 +133,19 @@ def singular_values(X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormKind:
-    """Selector for a unitarily-invariant norm.
+    """Selector for a unitarily-invariant norm: a Ky Fan or a Schatten norm.
 
-    tag is one of "operator", "kyfan" (with k), "schatten" (with p),
-    "trace", "hs".  Ky Fan range is validated against the actual number
-    of singular values at evaluation time.
+    "operator" is Ky Fan k = 1, "trace" Ky Fan k = n, "hs" Schatten p = 2;
+    "kyfan" carries k and "schatten" p.  k is checked against the number
+    of singular values at evaluation; parse() inverts str(), which writes
+    p as the shortest decimal that reads back as p.
     """
 
     tag: str
     k: int | None = None
     p: float | None = None
+
+    SPELLINGS = "operator, trace, hs, kyfan:K or schatten:P"
 
     def __post_init__(self) -> None:
         if self.tag not in ("operator", "kyfan", "schatten", "trace", "hs"):
@@ -178,33 +181,46 @@ class NormKind:
     def hilbert_schmidt(cls) -> "NormKind":
         return cls("hs")
 
+    @classmethod
+    def parse(cls, text: str) -> "NormKind":
+        """The kind str() spells as text, ignoring case and the spaces around
+        the name; hilbert-schmidt is hs.  Other text raises BadParameter."""
+        name, _, arg = text.partition(":")
+        name = name.strip().lower()
+        try:
+            if name == "kyfan" and arg:
+                return cls.ky_fan(int(arg))
+            if name == "schatten" and arg:
+                return cls.schatten(float(arg))
+            if arg:
+                raise BadParameter(f"{name} takes no parameter")
+            return cls({"hilbert-schmidt": "hs"}.get(name, name))
+        except ValueError as exc:
+            raise BadParameter(f"bad norm {text!r}: {exc}; expected {cls.SPELLINGS}") from exc
+
     def __str__(self) -> str:
         if self.tag == "kyfan":
             return f"kyfan:{self.k}"
         if self.tag == "schatten":
-            return f"schatten:{self.p:g}"
+            return "schatten:" + repr(self.p).removesuffix(".0")
         return self.tag
 
 
 def _norm_from_singulars(values: np.ndarray, kind: NormKind) -> np.ndarray:
-    """The norm from descending singular values along the last axis."""
-    if kind.tag == "operator":
-        return values[..., 0]
-    if kind.tag == "kyfan":
-        if kind.k > values.shape[-1]:
-            raise BadParameter(
-                f"Ky Fan k={kind.k} exceeds the number of singular values {values.shape[-1]}"
-            )
-        return values[..., : kind.k].sum(axis=-1)
-    if kind.tag == "schatten":
-        # s_0 (sum (s/s_0)^p)^(1/p) with s_0 the largest: the powers lie in
-        # [0, 1], so they neither overflow nor all underflow at large p.
+    """The norm from descending singular values along the last axis: the
+    Ky Fan sum of the k largest, or the Schatten s_0 (sum (s/s_0)^p)^(1/p)
+    with s_0 the largest, whose powers in [0, 1] neither overflow nor all
+    underflow at any scale or p."""
+    if kind.tag in ("schatten", "hs"):
+        p = 2.0 if kind.tag == "hs" else kind.p
         top = values[..., :1]
         scaled = values / np.where(top > 0.0, top, 1.0)
-        return top[..., 0] * (scaled**kind.p).sum(axis=-1) ** (1.0 / kind.p)
-    if kind.tag == "trace":
-        return values.sum(axis=-1)
-    return np.sqrt((values**2).sum(axis=-1))
+        return top[..., 0] * (scaled**p).sum(axis=-1) ** (1.0 / p)
+    n = values.shape[-1]
+    k = {"operator": 1, "trace": n}.get(kind.tag, kind.k)
+    if k > n:
+        raise BadParameter(f"Ky Fan k={k} exceeds the number of singular values {n}")
+    return values[..., :k].sum(axis=-1)
 
 
 def _norm(m: np.ndarray, kind: NormKind) -> np.ndarray:
@@ -480,7 +496,8 @@ class CampaignConfig:
 
     Trials are split into shards of at most 1000; shard i draws from
     numpy's default_rng seeded with (seed, i), so results are
-    reproducible and independent of the number of workers.
+    reproducible and independent of the number of workers.  Each trial
+    has size n in [2, n_max], or in [k, n_max] for a Ky Fan k > 2.
     """
 
     n_max: int = 6
@@ -500,6 +517,8 @@ class CampaignConfig:
             raise DomainViolation(f"trials must be >= 1, got {self.trials}")
         if self.threads < 1:
             raise DomainViolation(f"threads must be >= 1, got {self.threads}")
+        if self.norm.tag == "kyfan" and self.norm.k > self.n_max:
+            raise BadParameter(f"Ky Fan k={self.norm.k} exceeds n_max={self.n_max}")
         if self.f not in _F_TABLE:
             raise BadParameter(f"unknown f selector {self.f!r}; choose from {sorted(_F_TABLE)}")
         if self.min_commutator is not None and not (
@@ -590,10 +609,11 @@ def _campaign_shard(args) -> dict:
     cfg, shard_idx, shard_trials = args
     rng = np.random.default_rng((cfg.seed, shard_idx))
     parts = 4 if cfg.a_equals_b else 6
+    smallest = max(2, cfg.norm.k) if cfg.norm.tag == "kyfan" else 2
     sizes = np.zeros(shard_trials, dtype=int)
     draws = []
     for trial in range(shard_trials):
-        n = int(rng.integers(2, cfg.n_max + 1))
+        n = int(rng.integers(smallest, cfg.n_max + 1))
         sizes[trial] = n
         draws.append(rng.standard_normal((parts, n, n)))
 

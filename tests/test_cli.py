@@ -18,7 +18,7 @@ import pytest
 import commbounds
 
 from commbounds.approx import GaussianParams, erf_min_bound
-from commbounds.cli import UsageError, main, parse_norm
+from commbounds.cli import UsageError, _parse_range, main, parse_norm
 from commbounds.matrixlab import NormKind
 from commbounds.optimize import BoundPoint, build_paper_grid, certify_grid
 from commbounds.stitch import (
@@ -174,6 +174,14 @@ def run_process(*argv):
         env=env,
         preexec_fn=limit_memory,
     )
+
+
+def test_range_slack_scales_with_step():
+    # An absolute slack of 1e-12 would take ten more values past 2e-13.
+    assert _parse_range("1e-13:2e-13:1e-13", "grid") == [1e-13, 2e-13]
+    for spec, count in (("0.9:1.1:0.1", 3), ("0.1:0.9:0.1", 9), ("0.0195:40:0.0005", 79962)):
+        start, _, step = (float(part) for part in spec.split(":"))
+        assert _parse_range(spec, "grid") == [start + k * step for k in range(count)]
 
 
 @pytest.mark.parametrize(
@@ -443,6 +451,12 @@ class TestVerifyCommand:
         assert report["f"] == "f1"
         assert f"max_ratio={report['max_ratio']!r}" in stdout
         assert report["max_ratio"] <= 1.01975 + 1e-9
+
+    def test_report_keeps_every_digit_of_p(self, capsys, tmp_path):
+        out = str(tmp_path / "r.json")
+        code, _, _ = run(capsys, "verify", "--trials", "20", "--norm", "schatten:1.2345678", "--out", out)
+        assert code == 0
+        assert NormKind.parse(json.loads(open(out).read())["norm"]) == NormKind.schatten(1.2345678)
 
     def test_bad_norm_exits_one(self, capsys):
         assert run(capsys, "verify", "--trials", "5", "--norm", "spectral")[0] == 1

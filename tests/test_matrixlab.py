@@ -303,6 +303,59 @@ class TestNormKind:
                     ref = float(mpmath.fsum(s**p for s in values) ** (1 / mpmath.mpf(p)))
                     assert ui_norm(x, NormKind.schatten(p)) == pytest.approx(ref, rel=1e-13)
 
+    def test_hs_at_extreme_scales(self):
+        # sqrt(sum s^2) underflows to 0 at 1e-170 and overflows at 1e160.
+        for scale in (1e-170, 1e160):
+            assert ui_norm(scale * np.eye(2), NormKind.hilbert_schmidt()) == pytest.approx(
+                math.sqrt(2.0) * scale, rel=1e-15
+            )
+        rng = np.random.default_rng(26)
+        with mpmath.workdps(30):
+            for scale in (1e-150, 1e150):
+                for _ in range(5):
+                    x = scale * random_complex(rng, 4, 3)
+                    values = mpmath.mp.svd_c(to_mp(x), compute_uv=False)
+                    ref = float(mpmath.sqrt(mpmath.fsum(s**2 for s in values)))
+                    assert ui_norm(x, NormKind.hilbert_schmidt()) == pytest.approx(ref, rel=1e-13)
+
+    def test_every_kind_is_a_ky_fan_or_schatten_formula(self):
+        rng = np.random.default_rng(27)
+        for n in range(1, 7):
+            scale = 10.0 ** rng.uniform(-5.0, 5.0)
+            x = scale * (rng.standard_normal((20, n, n)) + 1j * rng.standard_normal((20, n, n)))
+            s = np.linalg.svd(x, compute_uv=False)
+            np.testing.assert_array_equal(matrixlab._norm(x, NormKind.operator()), s[:, 0])
+            np.testing.assert_array_equal(matrixlab._norm(x, NormKind.trace()), s.sum(axis=-1))
+            for k in range(1, n + 1):
+                np.testing.assert_array_equal(matrixlab._norm(x, NormKind.ky_fan(k)), s[:, :k].sum(axis=-1))
+            np.testing.assert_array_equal(
+                matrixlab._norm(x, NormKind.hilbert_schmidt()), matrixlab._norm(x, NormKind.schatten(2.0))
+            )
+            for matrix in x:
+                values = singular_values(matrix)
+                assert ui_norm(matrix, NormKind.operator()) == values[0]
+                assert ui_norm(matrix, NormKind.trace()) == values.sum()
+                assert ui_norm(matrix, NormKind.ky_fan(n)) == values[:n].sum()
+
+    def test_parse_inverts_str(self):
+        rng = np.random.default_rng(28)
+        kinds = ALL_KINDS_3 + (
+            NormKind.ky_fan(7),
+            NormKind.schatten(1.2345678),
+            NormKind.schatten(400.0),
+            NormKind.schatten(1e20),
+            *(NormKind.schatten(p) for p in rng.uniform(1.0, 100.0, size=200)),
+        )
+        for kind in kinds:
+            assert NormKind.parse(str(kind)) == kind
+        assert str(NormKind.schatten(1.2345678)) == "schatten:1.2345678"
+        assert str(NormKind.schatten(400.0)) == "schatten:400"
+        assert NormKind.parse(" Hilbert-Schmidt ") == NormKind.hilbert_schmidt()
+        assert NormKind.parse("KYFAN:3") == NormKind.ky_fan(3)
+        for bad in ("spectral", "", "kyfan", "kyfan:2.5", "schatten:inf", "trace:1", "hilbert-schmidt:2"):
+            with pytest.raises(BadParameter):
+                NormKind.parse(bad)
+
     def test_kyfan_out_of_range_at_evaluation(self):
         with pytest.raises(BadParameter):
             ui_norm(np.eye(2), NormKind.ky_fan(3))
@@ -591,6 +644,14 @@ class TestConjectureRatio:
             assert math.isfinite(ratio) and ratio > 0.0
             assert ratio == pytest.approx(reference_ratio(a, b, x, f1, kind), rel=1e-12, abs=0.0)
 
+    def test_hs_ratio_with_tiny_x_matches_schatten_2(self):
+        a = np.diag([1.0, 2.0])
+        b = np.array([[3.0, 1.0], [1.0, 0.5]])
+        x = 1e-170 * np.ones((2, 2))
+        ratio = verify_conjecture_ratio(a, b, x, f1, NormKind.hilbert_schmidt())
+        assert ratio > 0.0
+        assert ratio == verify_conjecture_ratio(a, b, x, f1, NormKind.schatten(2.0))
+
     def test_rejects_non_psd_a_and_skew_b(self):
         x = np.array([[1.0, 0.5j], [0.2, 1.0]])
         with pytest.raises(DomainViolation):
@@ -862,8 +923,9 @@ def replay_shard(cfg, shard, trials):
     """Per-trial reference for one campaign shard.
 
     Draws each trial from default_rng((seed, shard)) in the documented
-    order, one n x n block at a time: n, the real and imaginary parts of
-    A's Wishart factor, of B's (without a_equals_b), then of X.  Each
+    order, one n x n block at a time: n (at least k for a Ky Fan k), the
+    real and imaginary parts of A's Wishart factor, of B's (without
+    a_equals_b), then of X.  Each
     trial goes through verify_conjecture_ratio on its own.  Returns the
     (trial, ratio) pairs of the evaluated trials and the skipped count.
     """
@@ -873,9 +935,10 @@ def replay_shard(cfg, shard, trials):
     def complex_normal(n):
         return (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
 
+    smallest = max(2, cfg.norm.k) if cfg.norm.tag == "kyfan" else 2
     evaluated, skipped = [], 0
     for trial in range(trials):
-        n = int(rng.integers(2, cfg.n_max + 1))
+        n = int(rng.integers(smallest, cfg.n_max + 1))
         m = complex_normal(n)
         a = m @ m.conj().T
         if cfg.unit_norm_a:
@@ -910,9 +973,10 @@ REFERENCE_CONFIGS = [
         NormKind.hilbert_schmidt(),
     )
 ] + [
+    CampaignConfig(n_max=6, trials=1200, seed=17, f="f1", norm=NormKind.ky_fan(3)),
     CampaignConfig(
         n_max=5, trials=1200, seed=17, f="sqrt", a_equals_b=True, unit_norm_a=True, min_commutator=0.25
-    )
+    ),
 ]
 
 
@@ -953,6 +1017,31 @@ class TestCampaign:
             with pytest.raises(DomainViolation):
                 CampaignConfig(min_commutator=bad)
         assert CampaignConfig(min_commutator=0.0).min_commutator == 0.0
+        with pytest.raises(BadParameter):
+            CampaignConfig(norm=NormKind.ky_fan(7))
+        assert CampaignConfig(n_max=7, norm=NormKind.ky_fan(7)).n_max == 7
+
+    def test_ky_fan_campaign_draws_n_at_least_k(self):
+        # A 2 x 2 trial has no third singular value, so n is drawn from [3, n_max].
+        report = monte_carlo_campaign(CampaignConfig(trials=200, seed=1, norm=NormKind.ky_fan(3)))
+        assert report.evaluated + report.skipped == 200
+        assert len(report.argmax["A"]) >= 3
+        cfg = CampaignConfig(n_max=4, trials=20, seed=2, norm=NormKind.ky_fan(4))
+        assert len(monte_carlo_campaign(cfg).argmax["X"]) == 4
+
+    @pytest.mark.parametrize(
+        "norm, where, ratio",
+        [(NormKind.operator(), (1, 587), 0.9057561315064879), (NormKind.ky_fan(2), (0, 941), 0.9144427191105341)],
+        ids=str,
+    )
+    def test_ky_fan_rule_keeps_draws_of_k_at_most_2(self, norm, where, ratio):
+        # Reference values of the draw of n from [2, n_max], which every norm
+        # but a Ky Fan k > 2 keeps.
+        report = monte_carlo_campaign(CampaignConfig(trials=2000, seed=11, norm=norm))
+        assert (report.argmax["shard"], report.argmax["trial"]) == where
+        assert len(report.argmax["A"]) == 2
+        assert report.evaluated == 2000
+        assert report.max_ratio == pytest.approx(ratio, rel=1e-12, abs=0.0)
 
     def test_single_trial_reproducible(self):
         cfg = CampaignConfig(n_max=3, trials=1, seed=9)
