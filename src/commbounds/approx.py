@@ -240,8 +240,15 @@ def bracketed_root(func: Callable[[float], float], lo: float, hi: float) -> floa
     validation window used downstream.  The combination of bisection,
     secant and inverse quadratic steps is fully deterministic with a
     hard cap of _MAX_ITER iterations.
+
+    The loop invariants are computed once.  two_eps * abs(b) is the
+    float that 2.0 * _EPS * abs(b) gives, since Python multiplies left to
+    right, and half_xtol is 0.5 * xtol; `v if v < u else u` is min(u, v),
+    which keeps its first argument unless a later one is smaller.  So every
+    step, root and error is the one the loop gives with them inline.
     """
-    xtol = 0.1 * _ROOT_TOL
+    two_eps = 2.0 * _EPS
+    half_xtol = 0.5 * (0.1 * _ROOT_TOL)
     a, b = lo, hi
     fa, fb = func(a), func(b)
     if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
@@ -255,7 +262,7 @@ def bracketed_root(func: Callable[[float], float], lo: float, hi: float) -> floa
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        tol1 = two_eps * abs(b) + half_xtol
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b
@@ -272,7 +279,8 @@ def bracketed_root(func: Callable[[float], float], lo: float, hi: float) -> floa
             if p > 0.0:
                 q = -q
             p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+            u, v = 3.0 * xm * q - abs(tol1 * q), abs(e * q)
+            if 2.0 * p < (v if v < u else u):
                 e = d
                 d = p / q
             else:
@@ -316,6 +324,13 @@ def erf_min_bound(c: float, params: GaussianParams) -> ErfMinOutcome:
     When phi is nonnegative at its minimizer the residual has no interior
     critical points and the construction certifies nothing: the outcome
     has degenerate=True and value = spread = inf.
+
+    Brent's sign function is phi on bare floats: a closure that computes
+    b * x * x - 2.0 * log1p(x) - log(a) with log(a) taken once.  Those are
+    phi's operations in phi's order, so each evaluation is phi's float
+    bit for bit.  It skips the domain check (both brackets lie in
+    [0, inf)), the attribute lookups and the log(a) that phi repeats on
+    every call; root finding is most of the grid search's time.
     """
     if not (math.isfinite(c) and c > 0.0):
         raise DomainViolation(f"evaluation point c must be positive and finite, got {c!r}")
@@ -326,7 +341,10 @@ def erf_min_bound(c: float, params: GaussianParams) -> ErfMinOutcome:
     if phi(xs, params) >= 0.0:
         return ErfMinOutcome(math.inf, None, None, budget, True, math.inf)
 
-    sign_func = lambda x: phi(x, params)  # noqa: E731
+    b, log_a, log1p = params.b, math.log(a), math.log1p
+
+    def sign_func(x: float) -> float:
+        return b * x * x - 2.0 * log1p(x) - log_a
 
     x2 = bracketed_root(sign_func, xs, x_end(params))
     _validate_extremum(x2, params, 1.0)

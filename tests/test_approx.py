@@ -9,7 +9,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from commbounds import approx
+from commbounds import approx, optimize
 from commbounds.approx import (
     DomainViolation,
     ErfMinOutcome,
@@ -237,12 +237,147 @@ class TestBracketedRoot:
         # Fine-sampling oracle: the sign of phi flips inside [root-T, root+T].
         assert phi(root - 1e-5, p) < 0.0 < phi(root + 1e-5, p)
 
+    def test_matches_reference_copy(self):
+        # Bracketed roots of seeded polynomials, shifted cosines, steep and
+        # flat steps and phi itself, plus brackets with no sign change, a
+        # zero endpoint, a NaN and a step too wide for _MAX_ITER iterations.
+        rng = np.random.default_rng(1919)
+        cases = [
+            (lambda x: x - 1.0, 1.0, 2.0),
+            (lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0),
+            (lambda x: 1.0 if x > 0.3 else -1.0, 0.0, 1e300),
+            (lambda x: -0.0 if x < 0.3 else 1.0, 0.0, 1.0),
+        ]
+        for _ in range(600):
+            roots = np.sort(rng.uniform(-3.0, 3.0, 3))
+            lo, hi = sorted(rng.uniform(-4.0, 4.0, 2))
+            shift, scale = rng.uniform(-1.0, 1.0), 10.0 ** rng.uniform(-8.0, 8.0)
+            width = 10.0 ** rng.uniform(-12.0, 2.0)
+            p = GaussianParams(10.0 ** rng.uniform(-5.0, 1.5), 10.0 ** rng.uniform(-8.0, 4.0))
+            cases += [
+                (lambda x, r=roots, k=scale: k * (x - r[0]) * (x - r[1]) * (x - r[2]), lo, hi),
+                (lambda x, s=shift: math.cos(x) - s, lo, hi),
+                (lambda x, r=roots[1], w=width: math.tanh((x - r) / w), lo, hi),
+                (lambda x, p=p: phi(x, p), 0.0, x_star(p.b)),
+                (lambda x, p=p: phi(x, p), x_star(p.b), float(hi) + 10.0),
+            ]
+        kinds = set()
+        for func, lo, hi in cases:
+            expected = result_or_error(reference_bracketed_root, func, float(lo), float(hi))
+            assert result_or_error(bracketed_root, func, float(lo), float(hi)) == expected, (lo, hi)
+            kinds.add(expected[0][1] if expected[0][0] == "raised" else float)
+        assert kinds == {float, NoSignChange, RootValidationFailed}
+
     def test_determinism(self):
         f = lambda x: math.exp(x) - 3.0  # noqa: E731
         r1 = bracketed_root(f, 0.0, 2.0)
         r2 = bracketed_root(f, 0.0, 2.0)
         assert r1 == r2
         assert abs(r1 - math.log(3.0)) < 1e-6
+
+
+def reference_bracketed_root(func, lo, hi):
+    """bracketed_root as it was before its loop invariants were hoisted, verbatim."""
+    _EPS, _ROOT_TOL, _MAX_ITER = approx._EPS, approx._ROOT_TOL, approx._MAX_ITER
+    xtol = 0.1 * _ROOT_TOL
+    a, b = lo, hi
+    fa, fb = func(a), func(b)
+    if fa == 0.0 or fb == 0.0 or (fa > 0.0) == (fb > 0.0):
+        raise NoSignChange(f"no strict sign change on [{lo!r}, {hi!r}]")
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_MAX_ITER):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol1 = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1 or fb == 0.0:
+            return b
+        if abs(e) >= tol1 and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p = 2.0 * xm * s
+                q = 1.0 - s
+            else:
+                q = fa / fc
+                r = fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e = d
+                d = p / q
+            else:
+                d = xm
+                e = d
+        else:
+            d = xm
+            e = d
+        a, fa = b, fb
+        if abs(d) > tol1:
+            b += d
+        else:
+            b += math.copysign(tol1, xm)
+        fb = func(b)
+    raise RootValidationFailed(f"root finder did not converge within {_MAX_ITER} iterations")
+
+
+def reference_validate(root, params, sign):
+    t, eps = approx._ROOT_TOL, approx._COMP_TOL
+    if root - t < eps:
+        raise DomainViolation(f"validation window around {root!r} leaves the domain")
+    if not (sign * j_prime(root - t, params) <= -eps and sign * j_prime(root + t, params) >= eps):
+        kind = "minimum" if sign > 0.0 else "maximum"
+        raise RootValidationFailed(f"derivative signs around {root!r} do not confirm a local {kind}")
+
+
+def reference_erf_min_bound(c, params):
+    """erf_min_bound from the public helpers, with phi itself as Brent's sign function."""
+    a = params.a
+    budget = 2.0 * (1.0 + a) * approx._ROOT_TOL
+    xs = x_star(params.b)
+    if phi(xs, params) >= 0.0:
+        return ErfMinOutcome(math.inf, None, None, budget, True, math.inf)
+    sign_func = lambda x: phi(x, params)  # noqa: E731
+    x2 = reference_bracketed_root(sign_func, xs, x_end(params))
+    reference_validate(x2, params, 1.0)
+    if a < 1.0:
+        x1 = reference_bracketed_root(sign_func, 0.0, xs)
+        reference_validate(x1, params, -1.0)
+        high = max(j_func(x1, params), j_limit(params))
+        low = min(0.0, j_func(x2, params))
+    else:
+        x1 = None
+        high = max(0.0, j_limit(params))
+        low = j_func(x2, params)
+    spread = (high - low) + budget
+    return ErfMinOutcome((spread + c * a) / f1(c), x1, x2, budget, False, spread)
+
+
+def result_or_error(func, *args):
+    """repr of func's result (floats to the bit) or its error, with any warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = ("returned", repr(func(*args)))
+        except Exception as exc:
+            result = ("raised", type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def outcome_kind(result):
+    """Which of erf_min_bound's outcomes a result of result_or_error is."""
+    if result[0] == "raised":
+        return result[1]
+    if "degenerate=True" in result[1]:
+        return "degenerate"
+    return "x1" if "x1=None" not in result[1] else "no x1"
 
 
 def oracle_oscillation(params: GaussianParams) -> float:
@@ -311,6 +446,35 @@ class TestErfMinBound:
             assert len(kinds) == 1 and len(spreads) <= 1
             checked += kinds == {False}
         assert checked >= 30
+
+    def test_matches_reference_on_seeded_parameters(self):
+        # The sign function is phi on bare floats; every outcome, error and
+        # warning must be the one phi and the public helpers give.
+        rng = np.random.default_rng(19)
+        kinds = set()
+        for _ in range(3000):
+            c = float(10.0 ** rng.uniform(math.log10(0.0195), math.log10(40.0)))
+            a = float(10.0 ** rng.uniform(-5.0, math.log10(30.0)))
+            b = float(10.0 ** rng.uniform(-8.0, 4.0))
+            p = GaussianParams(a, b)
+            expected = result_or_error(reference_erf_min_bound, c, p)
+            assert result_or_error(erf_min_bound, c, p) == expected, (c, p)
+            kinds.add(outcome_kind(expected[0]))
+        assert {"x1", "no x1", "degenerate", RootValidationFailed} <= kinds
+
+    def test_matches_reference_on_grid_search_polls(self, monkeypatch):
+        polled = []
+
+        def recorded(c, params):
+            polled.append((c, params))
+            return erf_min_bound(c, params)
+
+        monkeypatch.setattr(optimize, "erf_min_bound", recorded)
+        optimize.optimize_grid(optimize.build_paper_grid()[7::50])
+        assert len(polled) > 1000
+        for c, p in polled:
+            expected = result_or_error(reference_erf_min_bound, c, p)
+            assert result_or_error(erf_min_bound, c, p) == expected, (c, p)
 
     def test_small_amplitude_has_two_roots(self):
         p = GaussianParams(0.6, 1.0)

@@ -1,5 +1,6 @@
 """Tests for the pattern search and the grid certification driver."""
 
+import hashlib
 import math
 import sys
 
@@ -294,6 +295,21 @@ class TestOptimizeGrid:
         assert point.degenerate
         assert point.C_k == math.inf
         assert point.params == GaussianParams(0.9, 0.5)
+
+    @pytest.mark.parametrize(
+        "offset, digest",
+        [
+            (0, "2f98cb51ad65cfe997a582cee344b884976208894645e02b14c6e1f1b75ab8c0"),
+            (37, "10b46fe034898f1980298ddf53fb7c2395ec25f3e04cb74d47ae5a5de3b989c1"),
+        ],
+    )
+    def test_chained_paper_subgrid_bits(self, offset, digest):
+        # Every node of the chained single-Gaussian search, bit for bit; the
+        # digests were computed before erf_min_bound's sign function and
+        # bracketed_root's loop moved to bare floats.
+        points = optimize_grid(build_paper_grid()[offset::50])
+        records = [(p.c, p.C_k, p.params.a, p.params.b) for p in points]
+        assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
     def test_degenerate_certification_is_reported(self, monkeypatch):
         def degenerate(c, params):
