@@ -10,8 +10,8 @@ unitarily invariant norms, for operator-monotone test functions such as
 * derivative-free tuning of the single-Gaussian bound, and the
   search-free mixture certifier, over a certification grid
   (:mod:`commbounds.optimize`),
-* the committed Gaussian-mixture witness table and its deterministic
-  fit (:mod:`commbounds.witnesses`),
+* the committed Gaussian-mixture witness table, its file layout and its
+  deterministic fit (:mod:`commbounds.witnesses`),
 * interval stitching that lifts gridpoint bounds to a global constant
   and integrates it into a square-root commutator constant
   (:mod:`commbounds.stitch`),
@@ -19,17 +19,18 @@ unitarily invariant norms, for operator-monotone test functions such as
   (:mod:`commbounds.formulas`),
 * a random-matrix laboratory that checks every inequality on sampled
   Hermitian matrices (:mod:`commbounds.matrixlab`),
-* a command line front end (:mod:`commbounds.cli`), which also
-  regenerates the witness table.
+* a command line front end (:mod:`commbounds.cli`).
 """
 
 from commbounds.approx import (
+    CommboundsError,
     DomainViolation,
     ErfMinOutcome,
     GaussianParams,
     MixtureCertificate,
     MixtureParams,
     NoSignChange,
+    NumericalFailure,
     RootValidationFailed,
     certify_mixture,
     certify_mixtures,
@@ -103,6 +104,7 @@ __all__ = [
     "BoundPoint",
     "CampaignConfig",
     "CampaignReport",
+    "CommboundsError",
     "CoverageGap",
     "DomainViolation",
     "ErfMinOutcome",
@@ -112,6 +114,7 @@ __all__ = [
     "NoSignChange",
     "NormKind",
     "NotHermitian",
+    "NumericalFailure",
     "PiecewiseQuadParams",
     "RejectedCertificate",
     "RootValidationFailed",

@@ -34,13 +34,15 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "CommboundsError",
     "DomainViolation",
     "NoSignChange",
+    "NumericalFailure",
     "RootValidationFailed",
     "GaussianParams",
     "MixtureParams",
@@ -75,16 +77,24 @@ _COMP_TOL = 1e-10
 _MAX_ITER = 200
 
 
-class DomainViolation(ValueError):
+class CommboundsError(Exception):
+    """A validation or computation failure; each subclass also keeps a builtin base."""
+
+
+class DomainViolation(ValueError, CommboundsError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class NoSignChange(RuntimeError):
+class NoSignChange(RuntimeError, CommboundsError):
     """A bracketing interval does not straddle a sign change."""
 
 
-class RootValidationFailed(RuntimeError):
+class RootValidationFailed(RuntimeError, CommboundsError):
     """A computed critical point failed its derivative sign checks."""
+
+
+class NumericalFailure(RuntimeError, CommboundsError):
+    """A solver or a quadrature did not reach an answer it can vouch for."""
 
 
 @dataclass(frozen=True)
@@ -122,6 +132,15 @@ class MixtureParams:
             if not all(math.isfinite(v) and v > 0.0 for v in values):
                 raise DomainViolation(f"every {name} must be positive and finite, got {values!r}")
 
+    def to_payload(self) -> dict:
+        """The {"w": [...], "b": [...]} layout of certificate files and the witness table."""
+        return {"w": list(self.w), "b": list(self.b)}
+
+    @classmethod
+    def from_payload(cls, payload: Mapping) -> "MixtureParams":
+        """Read to_payload's layout; other keys of the mapping are ignored."""
+        return cls(tuple(float(v) for v in payload["w"]), tuple(float(v) for v in payload["b"]))
+
 
 @dataclass(frozen=True)
 class ErfMinOutcome:
@@ -143,6 +162,16 @@ class ErfMinOutcome:
     error_budget: float
     degenerate: bool
     spread: float
+
+    def to_dict(self) -> dict:
+        # A degenerate outcome's value is inf, which strict JSON cannot hold.
+        return {
+            "value": None if self.degenerate else self.value,
+            "x1": self.x1,
+            "x2": self.x2,
+            "degenerate": self.degenerate,
+            "error_budget": self.error_budget,
+        }
 
 
 def f1(x: float) -> float:

@@ -14,9 +14,9 @@ Subcommands:
   counterexample  print the fixed 3x3 trace-norm reversal report
 
 Exit codes: 0 on success, 1 on usage errors (bad arguments, unreadable
-or malformed input files), 2 on validation or computation failures
-(domain violations, rejected roots, coverage gaps, a certificate file
-that its nodes do not give).
+or malformed input files), 2 on a CommboundsError: a validation or
+computation failure, such as a domain violation, a rejected root or
+certificate, a coverage gap, or a failed witness fit or quadrature.
 
 Output files are written atomically (temporary file in the destination
 directory, then rename).
@@ -33,17 +33,9 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
-from importlib import resources
 
 from commbounds import witnesses
-from commbounds.approx import (
-    DomainViolation,
-    ErfMinOutcome,
-    GaussianParams,
-    NoSignChange,
-    RootValidationFailed,
-    erf_min_bound,
-)
+from commbounds.approx import CommboundsError, GaussianParams, erf_min_bound
 from commbounds.formulas import (
     csc1,
     gamma_boyadzhiev,
@@ -59,16 +51,11 @@ from commbounds.matrixlab import (
     BadParameter,
     CampaignConfig,
     NormKind,
-    NotHermitian,
-    SpectralRadiusTooLarge,
-    ZeroDenominator,
     counterexample_report,
     monte_carlo_campaign,
 )
 from commbounds.optimize import build_paper_grid, certify_grid
 from commbounds.stitch import (
-    ArgumentOrder,
-    CoverageGap,
     RejectedCertificate,
     StitchedCertificate,
     gamma_half_via_Cc,
@@ -77,19 +64,6 @@ from commbounds.stitch import (
 )
 
 __all__ = ["UsageError", "main", "parse_norm"]
-
-_COMPUTE_ERRORS = (
-    DomainViolation,
-    RootValidationFailed,
-    NoSignChange,
-    ArgumentOrder,
-    CoverageGap,
-    RejectedCertificate,
-    NotHermitian,
-    BadParameter,
-    SpectralRadiusTooLarge,
-    ZeroDenominator,
-)
 
 
 class UsageError(Exception):
@@ -183,23 +157,12 @@ def _positive(value: str, name: str) -> float:
     return out
 
 
-def _outcome_payload(outcome: ErfMinOutcome) -> dict:
-    # A degenerate outcome's value is inf, which strict JSON cannot hold.
-    return {
-        "value": None if outcome.degenerate else outcome.value,
-        "x1": outcome.x1,
-        "x2": outcome.x2,
-        "degenerate": outcome.degenerate,
-        "error_budget": outcome.error_budget,
-    }
-
-
 def cmd_erfmin(args: argparse.Namespace) -> int:
     c = _positive(args.c, "c")
     a = _positive(args.a, "a")
     b = _positive(args.b, "b")
     outcome = erf_min_bound(c, GaussianParams(a, b))
-    print(json.dumps(_outcome_payload(outcome), indent=2))
+    print(json.dumps(outcome.to_dict(), indent=2))
     return 0
 
 
@@ -233,15 +196,9 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_witnesses(args: argparse.Namespace) -> int:
-    out = args.out
-    if out is None:
-        out = str(resources.files("commbounds").joinpath(witnesses._TABLE))
-    table = []
-    for c in witnesses.FIT_NODES:
-        params = witnesses.fit_witness(float(c))
-        table.append({"c": float(c), "w": list(params.w), "b": list(params.b)})
-    _atomic_write(out, json.dumps({"witnesses": table}, indent=1) + "\n")
-    print(f"wrote {len(table)} witnesses to {out}")
+    out = str(witnesses.table_path()) if args.out is None else args.out
+    _atomic_write(out, witnesses.fit_table())
+    print(f"wrote {len(witnesses.FIT_NODES)} witnesses to {out}")
     return 0
 
 
@@ -398,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except _COMPUTE_ERRORS as exc:
+    except CommboundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

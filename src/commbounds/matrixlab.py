@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from commbounds.approx import DomainViolation
+from commbounds.approx import CommboundsError, DomainViolation
 
 __all__ = [
     "BadParameter",
@@ -55,19 +55,19 @@ __all__ = [
 ]
 
 
-class NotHermitian(ValueError):
+class NotHermitian(ValueError, CommboundsError):
     """Input matrix is not Hermitian within tolerance."""
 
 
-class BadParameter(ValueError):
+class BadParameter(ValueError, CommboundsError):
     """Norm parameter out of range (Ky Fan k, Schatten p)."""
 
 
-class SpectralRadiusTooLarge(ValueError):
+class SpectralRadiusTooLarge(ValueError, CommboundsError):
     """Hermitian argument has operator norm outside the valid range."""
 
 
-class ZeroDenominator(ArithmeticError):
+class ZeroDenominator(ArithmeticError, CommboundsError):
     """Ratio undefined: denominator vanished with nonzero numerator."""
 
 

@@ -17,7 +17,13 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
-from commbounds.approx import DomainViolation, GaussianParams, MixtureParams
+from commbounds.approx import (
+    CommboundsError,
+    DomainViolation,
+    GaussianParams,
+    MixtureParams,
+    NumericalFailure,
+)
 from commbounds.formulas import csc1, scaled_cayley_Cc
 from commbounds.optimize import BoundPoint
 
@@ -36,15 +42,15 @@ __all__ = [
 ]
 
 
-class ArgumentOrder(ValueError):
+class ArgumentOrder(ValueError, CommboundsError):
     """Interval endpoints were supplied in the wrong order."""
 
 
-class CoverageGap(ValueError):
+class CoverageGap(ValueError, CommboundsError):
     """The point grid does not cover the required interval."""
 
 
-class RejectedCertificate(ValueError):
+class RejectedCertificate(ValueError, CommboundsError):
     """A certificate file's nodes do not give the certificate it states."""
 
 
@@ -96,7 +102,7 @@ class StitchedCertificate:
             "global_C": self.global_C,
         }
         if mixtures:
-            payload["mixtures"] = [{"w": list(m.w), "b": list(m.b)} for m in mixtures]
+            payload["mixtures"] = [m.to_payload() for m in mixtures]
         return payload
 
     @classmethod
@@ -112,10 +118,7 @@ class StitchedCertificate:
         params = payload["params"]
         if not (len(grid) == len(constants) == len(lifted) == len(params)):
             raise CoverageGap("grid, C_k, D_k and params must have equal lengths")
-        mixtures = [
-            MixtureParams(tuple(float(v) for v in m["w"]), tuple(float(v) for v in m["b"]))
-            for m in payload.get("mixtures", [])
-        ]
+        mixtures = [MixtureParams.from_payload(m) for m in payload.get("mixtures", [])]
         points = tuple(
             BoundPoint(float(c), float(C), _params_from_payload(entry, mixtures))
             for c, C, entry in zip(grid, constants, params)
@@ -263,7 +266,7 @@ def gamma_half_via_Cc() -> float:
 
     value, estimate = quad(smooth, 0.0, math.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
     if estimate / math.pi > 1e-6:
-        raise RuntimeError(
+        raise NumericalFailure(
             f"quadrature error estimate {estimate / math.pi:.3e} exceeds 1e-6"
         )
     return value / math.pi

@@ -22,11 +22,11 @@ with equal coefficients, each side of the range keeps only its tightest
 bound, which leaves the feasible set as it is: the program has 4386
 rows, not 6002.  The result is bit for bit what
 `scipy.optimize.linprog(method="highs")` returns for the full program,
-with every row.  The fit is deterministic; regenerate the table with
-
-    commbounds fit-witnesses
-
-(add `--out PATH` to write elsewhere, for instance to compare).
+with every row.  The fit is deterministic.  This module owns the
+table's path (`table_path`) and layout: `fit_table` gives its text, one
+{"c", "w", "b"} entry per node at JSON indent 1, and `load_witnesses`
+reads it.  Regenerate it with `commbounds fit-witnesses` (add `--out
+PATH` to write elsewhere, for instance to compare).
 
 scipy is imported on first use.  Reading the table needs none of it;
 the first fit imports scipy.special's erf, scipy.sparse and the HiGHS
@@ -43,15 +43,14 @@ from importlib import resources
 
 import numpy as np
 
-from commbounds.approx import DomainViolation, MixtureParams
+from commbounds.approx import DomainViolation, MixtureParams, NumericalFailure
 
-__all__ = ["FIT_NODES", "WIDTHS", "fit_witness", "load_witnesses"]
+__all__ = ["FIT_NODES", "WIDTHS", "fit_table", "fit_witness", "load_witnesses", "table_path"]
 
 WIDTHS = np.logspace(-8.0, 3.0, 120)
 FIT_NODES = np.geomspace(0.0195, 40.0, 120)
 _SAMPLE = np.geomspace(1e-4, 1e8, 3000)
 _HALF_MASS = 0.5 * np.sqrt(np.pi / WIDTHS)
-_TABLE = "mixture_witnesses.json"
 
 
 def __getattr__(name: str):
@@ -152,11 +151,11 @@ def fit_witness(c: float) -> MixtureParams:
         highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost),
     ]
     if highs_core.HighsStatus.kError in statuses:
-        raise RuntimeError(f"HiGHS did not accept the witness program at c = {c!r}")
+        raise NumericalFailure(f"HiGHS did not accept the witness program at c = {c!r}")
     highs.run()
     status = highs.getModelStatus()
     if status != highs_core.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"witness fit at c = {c!r} failed: {highs.modelStatusToString(status)}")
+        raise NumericalFailure(f"witness fit at c = {c!r} failed: {highs.modelStatusToString(status)}")
     mass = np.array(highs.getSolution().col_value[: WIDTHS.size])
     keep = mass > 0.0
     if not keep.any():
@@ -167,11 +166,19 @@ def fit_witness(c: float) -> MixtureParams:
     )
 
 
+def fit_table() -> str:
+    """Fit a witness at every node of FIT_NODES and lay them out as the committed table."""
+    table = [{"c": float(c), **fit_witness(float(c)).to_payload()} for c in FIT_NODES]
+    return json.dumps({"witnesses": table}, indent=1) + "\n"
+
+
+def table_path():
+    """The committed witness table shipped with the package."""
+    return resources.files("commbounds").joinpath("mixture_witnesses.json")
+
+
 def load_witnesses() -> list[MixtureParams]:
-    """Read the committed witness table shipped with the package."""
-    payload = json.loads(resources.files("commbounds").joinpath(_TABLE).read_text())
-    return [
-        MixtureParams(tuple(float(v) for v in item["w"]), tuple(float(v) for v in item["b"]))
-        for item in payload["witnesses"]
-    ]
+    """Read the committed witness table."""
+    payload = json.loads(table_path().read_text())
+    return [MixtureParams.from_payload(item) for item in payload["witnesses"]]
 

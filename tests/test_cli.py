@@ -5,6 +5,7 @@ capsys and files land in tmp_path.  Exit code convention under test:
 0 success, 1 usage errors, 2 validation or computation failures.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -505,3 +506,41 @@ class TestCounterexampleCommand:
         assert code == 0
         assert "wrote" in out
         assert json.loads(open(path).read())["reversal"] is True
+
+
+class TestWrittenFilesPinned:
+    """SHA-256 of files the command line writes, recorded before the
+    mixture payload and the witness table moved out of the CLI."""
+
+    def test_paper_certificate_json(self, capsys, tmp_path, paper_certificate):
+        text = json.dumps(paper_certificate, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ceb69de974f7b05fb66b459d0367e7ae4ea18760420825fec335bf31858d4253"
+        )
+        out = tmp_path / "cert.json"
+        assert run(capsys, "certify", "--grid", "paper", "--out", str(out))[0] == 0
+        assert out.read_text() == text
+
+    def test_one_witness_table(self, capsys, tmp_path, monkeypatch):
+        import commbounds.witnesses as module
+
+        monkeypatch.setattr(module, "FIT_NODES", module.FIT_NODES[:1])
+        out = tmp_path / "table.json"
+        code, stdout, _ = run(capsys, "fit-witnesses", "--out", str(out))
+        assert code == 0
+        assert stdout == f"wrote 1 witnesses to {out}\n"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0f87f6a77684b8c1a1aa587f1711364fcda0f2ed33d98ac864a126e878e7f7c2"
+        )
+
+
+def test_mixture_with_unequal_lengths_is_usage_error(capsys, tmp_path, paper_certificate):
+    payload = json.loads(json.dumps(paper_certificate))
+    payload["mixtures"][0]["w"] = payload["mixtures"][0]["w"][:-1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
+    assert code == 1
+    assert err.startswith("usage error: ") and "equally many weights and widths" in err
+    assert "Traceback" not in err
+    assert out == ""

@@ -1,0 +1,127 @@
+"""The package's one error base, and the numerical failures that raise it.
+
+Every validation or computation failure the package raises is a
+CommboundsError and keeps its builtin base; the command line exits 2 on
+any of them, with the message and no traceback.
+"""
+
+import pytest
+import scipy.integrate
+from scipy.optimize._highspy import _core as highs_core
+
+import commbounds
+from commbounds import approx, cli, formulas, matrixlab, optimize, stitch, witnesses
+from commbounds.approx import CommboundsError, NumericalFailure
+from commbounds.cli import main
+from commbounds.stitch import gamma_half_via_Cc
+from commbounds.witnesses import FIT_NODES, fit_witness
+
+# Each exported exception class and the builtin base it keeps.
+BUILTIN_BASES = {
+    "CommboundsError": Exception,
+    "DomainViolation": ValueError,
+    "NoSignChange": RuntimeError,
+    "RootValidationFailed": RuntimeError,
+    "NumericalFailure": RuntimeError,
+    "ArgumentOrder": ValueError,
+    "CoverageGap": ValueError,
+    "RejectedCertificate": ValueError,
+    "NotHermitian": ValueError,
+    "BadParameter": ValueError,
+    "SpectralRadiusTooLarge": ValueError,
+    "ZeroDenominator": ArithmeticError,
+}
+
+
+def exported_exceptions():
+    found = {}
+    for module in (commbounds, approx, formulas, matrixlab, optimize, stitch, witnesses):
+        for name in module.__all__:
+            value = getattr(module, name)
+            if isinstance(value, type) and issubclass(value, BaseException):
+                found[name] = value
+    return found
+
+
+class TestHierarchy:
+    def test_every_exported_exception_is_a_commbounds_error(self):
+        found = exported_exceptions()
+        assert set(found) == set(BUILTIN_BASES)
+        for name, cls in found.items():
+            assert issubclass(cls, CommboundsError), name
+            assert issubclass(cls, BUILTIN_BASES[name]), name
+
+    def test_package_exports_the_base(self):
+        assert commbounds.CommboundsError is CommboundsError
+        assert "CommboundsError" in commbounds.__all__
+
+    def test_usage_error_is_not_a_commbounds_error(self):
+        assert not issubclass(cli.UsageError, CommboundsError)
+
+
+def _quad_with_large_error(*args, **kwargs):
+    return 1.0, 1.0
+
+
+class TestQuadratureFailure:
+    def test_raises_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "quad", _quad_with_large_error)
+        with pytest.raises(NumericalFailure, match="quadrature error estimate 3.183e-01 exceeds 1e-6"):
+            gamma_half_via_Cc()
+
+    def test_closed_forms_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(scipy.integrate, "quad", _quad_with_large_error)
+        assert main(["closed-forms"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: quadrature error estimate 3.183e-01 exceeds 1e-6\n"
+
+
+_REAL_HIGHS = highs_core._Highs
+
+
+class _FailingHighs:
+    """A HiGHS instance that refuses the model, or solves it to an infeasible status."""
+
+    def __init__(self, refuse):
+        self._highs = _REAL_HIGHS()
+        self._refuse = refuse
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def passModel(self, lp):
+        if self._refuse:
+            return highs_core.HighsStatus.kError
+        return self._highs.passModel(lp)
+
+    def getModelStatus(self):
+        return highs_core.HighsModelStatus.kInfeasible
+
+
+HIGHS_FAILURES = [
+    (True, "HiGHS did not accept the witness program at c = {c!r}"),
+    (False, "witness fit at c = {c!r} failed: Infeasible"),
+]
+
+
+@pytest.mark.parametrize("refuse, message", HIGHS_FAILURES, ids=["refused", "infeasible"])
+class TestWitnessFitFailure:
+    def test_raises_numerical_failure(self, monkeypatch, refuse, message):
+        monkeypatch.setattr(highs_core, "_Highs", lambda: _FailingHighs(refuse))
+        c = float(FIT_NODES[0])
+        with pytest.raises(NumericalFailure) as info:
+            fit_witness(c)
+        assert str(info.value) == message.format(c=c)
+        assert isinstance(info.value, RuntimeError)
+
+    def test_fit_witnesses_exits_two(self, capsys, monkeypatch, tmp_path, refuse, message):
+        monkeypatch.setattr(witnesses, "FIT_NODES", FIT_NODES[:1])
+        monkeypatch.setattr(highs_core, "_Highs", lambda: _FailingHighs(refuse))
+        out = tmp_path / "table.json"
+        assert main(["fit-witnesses", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: " + message.format(c=float(FIT_NODES[0])) + "\n"
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == []

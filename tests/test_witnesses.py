@@ -30,7 +30,14 @@ from commbounds.approx import (
 )
 from commbounds.optimize import build_paper_grid, certify_grid
 from commbounds.cli import main
-from commbounds.witnesses import FIT_NODES, WIDTHS, _witness_lp, fit_witness, load_witnesses
+from commbounds.witnesses import (
+    FIT_NODES,
+    WIDTHS,
+    _witness_lp,
+    fit_witness,
+    load_witnesses,
+    table_path,
+)
 
 WITNESSES = load_witnesses()
 
@@ -214,6 +221,23 @@ class TestMixtureParams:
         assert cert.high - 1e-10 <= high <= cert.high
         assert cert.low <= low <= cert.low + 1e-10
         assert cert.L >= 0.7
+
+    def test_payload_round_trip_over_the_table(self):
+        entries = json.loads(table_path().read_text())["witnesses"]
+        assert len(entries) == len(WITNESSES)
+        for entry, params in zip(entries, WITNESSES):
+            assert params.to_payload() == {"w": entry["w"], "b": entry["b"]}
+            assert MixtureParams.from_payload(params.to_payload()) == params
+            assert MixtureParams.from_payload(entry) == params
+
+    def test_from_payload_converts_and_validates(self):
+        params = MixtureParams.from_payload({"w": [1, "0.5"], "b": (2, 3.0)})
+        assert params == MixtureParams((1.0, 0.5), (2.0, 3.0))
+        assert all(type(v) is float for v in params.w + params.b)
+        with pytest.raises(DomainViolation, match="equally many weights and widths"):
+            MixtureParams.from_payload({"w": [1.0, 2.0], "b": [1.0]})
+        with pytest.raises(KeyError):
+            MixtureParams.from_payload({"w": [1.0]})
 
 
 class TestWitnessTable:
