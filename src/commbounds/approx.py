@@ -465,58 +465,72 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
 
     The kernels are certified together.  They all start from the same
     2001-point sample, so erf and the curvature factors there are
-    evaluated once per distinct width and shared.  Every cell carries the
-    index of its kernel, and all kernels are refined in the same rounds.
-    A sum over a kernel's K terms is taken only among kernels of the same
-    K, laid out as a lone kernel's terms are, so numpy adds them in the
-    same order; maxima and minima are exact.  Each certificate is
-    therefore the one its kernel gets alone, bit for bit, whatever else
-    is in the batch.
+    evaluated once per distinct width, in (width, row) tables, and
+    shared.  Every cell carries the index of its kernel, and all kernels
+    are refined in the same rounds.  Every sum over a kernel's terms is
+    taken in one written-out order, _ordered_sum's: a vector operation
+    per term, over all the kernels' rows at once.  In refinement rounds
+    a kernel's terms are padded with zero terms up to the top of its
+    size class (8 floor(K/8) + 7 terms below 128, else K), so each class
+    is one batch; the padding adds +0.0 to a nonnegative partial sum after
+    the last real term of the sequential part, which changes no bit.
+    Elementwise operations, maxima and minima are exact.  Each
+    certificate is therefore the one its kernel gets alone, bit for bit,
+    whatever else is in the batch; and since the written order is the
+    one numpy's sum(axis=-1) takes over a row of K values, it is also the
+    certificate of a direct evaluation with numpy sums.
     """
     from scipy.special import erf
 
     params_seq = list(params_seq)
     if not params_seq:
         return []
-    # Kernels are numbered by size K, so each size owns a run of numbers.
+    # Kernels are numbered by size K, so each size, and each size class,
+    # owns a run of numbers.
     order = sorted(range(len(params_seq)), key=lambda i: len(params_seq[i].b))
     kernels = [params_seq[i] for i in order]
     count = len(kernels)
     widths, column = np.unique(np.concatenate([p.b for p in kernels]), return_inverse=True)
     xs = np.concatenate(([0.0], np.geomspace(1e-6, _TAIL_START, _INITIAL_POINTS)))
-    y0 = np.clip(1.0 / np.sqrt(2.0 * widths), xs[:-1, None], xs[1:, None])
-    erf0 = erf(np.multiply.outer(xs, np.sqrt(widths)))
-    exp0 = np.exp(-widths * y0 * y0)
+    y0 = np.clip(1.0 / np.sqrt(2.0 * widths)[:, None], xs[:-1], xs[1:])
+    erf0 = erf(np.multiply.outer(np.sqrt(widths), xs))
+    exp0 = np.exp(-widths[:, None] * y0 * y0)
     # Past the last row where it is below 1 (above 0) for some width, erf0
     # (exp0) is saturated, and a kernel's terms there are its masses (zeros).
-    erf_live = xs.size - np.argmax((erf0 != 1.0)[::-1], axis=0)
-    exp_live = y0.shape[0] - np.argmax((exp0 != 0.0)[::-1], axis=0)
+    erf_live = xs.size - np.argmax((erf0 != 1.0)[:, ::-1], axis=1)
+    exp_live = y0.shape[1] - np.argmax((exp0 != 0.0)[:, ::-1], axis=1)
 
-    runs, values, bump, g_inf, g_tail, margin = [], [], [], [], [], []
+    values, bump = np.empty((count, xs.size)), np.empty((count, xs.size - 1))
+    g_inf, g_tail, margin = np.empty(count), np.empty(count), np.empty(count)
+    classes = {}
     sizes = [len(p.b) for p in kernels]
     offset = 0
     for size, run in itertools.groupby(range(count), key=sizes.__getitem__):
         run = list(run)
+        block = slice(run[0], run[-1] + 1)
         col = column[offset : offset + size * len(run)].reshape(len(run), size)
         offset += col.size
-        w, b = np.array([kernels[k].w for k in run]), widths[col]
+        w, b = np.array([kernels[k].w for k in run]).T, widths[col.T]
         mass = 0.5 * w * np.sqrt(np.pi / b)
         weight = 2.0 * w * b
-        # Per-term factors of a kernel, gathered for a cell by one index.
-        runs.append((run[0], np.stack((np.sqrt(b), mass, 1.0 / np.sqrt(2.0 * b), weight, -b), axis=1)))
-        g_inf.append(mass.sum(axis=-1))
-        g_tail.append((erf(np.sqrt(b) * _TAIL_START) * mass).sum(axis=-1))
-        margin.append(_FP_ULPS * (size + 2) * _EPS * (1.0 + g_inf[-1]))
-        erf_sums = _sample_sums(col, erf_live[col].max(), g_inf[-1][:, None], mass, erf0)
-        values.append(xs / (xs + 1.0) - erf_sums)
-        bump.append(_sample_sums(col, exp_live[col].max(), 0.0, weight, y0, exp0))
-    first = np.array([start for start, _ in runs])
+        # Per-term factors, (factor, term, kernel), padded to the class size.
+        padded = size | 7 if size < 128 else size
+        factors = np.zeros((5, padded, len(run)))
+        factors[:, :size] = (np.sqrt(b), mass, 1.0 / np.sqrt(2.0 * b), weight, -b)
+        classes.setdefault(padded, []).append((run[0], factors))
+        g_inf[block] = _ordered_sum(mass)
+        g_tail[block] = _ordered_sum(erf(np.sqrt(b) * _TAIL_START) * mass)
+        margin[block] = _FP_ULPS * (size + 2) * _EPS * (1.0 + g_inf[block])
+        _sample_sums(values[block], col, erf_live[col].max(), g_inf[block, None], mass, erf0)
+        np.subtract(xs / (xs + 1.0), values[block], out=values[block])
+        _sample_sums(bump[block], col, exp_live[col].max(), 0.0, weight, y0, exp0)
+    classes = [(runs[0][0], np.concatenate([f for _, f in runs], axis=2)) for runs in classes.values()]
+    first = np.array([start for start, _ in classes])
 
     # Round 0 runs on the shared cells of xs: the cell arrays are rows, one
     # per kernel, owner, lo and hi are broadcast against them, and upper
     # and lower are row maxima and minima.  Later rounds keep the cells
-    # sorted by owner, so each size is one slice.
-    values, bump = np.concatenate(values), np.concatenate(bump)
+    # sorted by owner, so each size class is one slice.
     top, bottom = values.max(axis=1), values.min(axis=1)
     owner, lo, hi = np.arange(count)[:, None], xs[:-1], xs[1:]
     j_lo, j_hi = values[:, :-1], values[:, 1:]
@@ -541,14 +555,13 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
         owner, lo, hi, j_lo, j_hi, mid = (v[split] for v in (owner, lo, hi, j_lo, j_hi, mid))
         # Each split cell becomes its two halves, side by side, so the cells
         # stay sorted by owner.
-        lo, hi = np.column_stack((lo, mid)), np.column_stack((mid, hi))
-        j_mid, bump = _bisect(runs, np.searchsorted(owner, first), owner, lo, hi)
+        lo, hi = np.stack((lo, mid)), np.stack((mid, hi))
+        j_mid, bump = _bisect(classes, np.searchsorted(owner, first), owner, lo, hi)
         np.maximum.at(top, owner, j_mid)
         np.minimum.at(bottom, owner, j_mid)
-        owner, lo, hi = np.repeat(owner, 2), lo.ravel(), hi.ravel()
+        owner, lo, hi = np.repeat(owner, 2), lo.T.ravel(), hi.T.ravel()
         j_lo, j_hi = np.column_stack((j_lo, j_mid)).ravel(), np.column_stack((j_mid, j_hi)).ravel()
 
-    g_inf, g_tail, margin = np.concatenate(g_inf), np.concatenate(g_tail), np.concatenate(margin)
     upper = np.maximum(upper, 1.0 - g_tail)
     lower = np.minimum(lower, f1(_TAIL_START) - g_inf)
     high = _up(upper + margin)
@@ -562,53 +575,83 @@ def certify_mixtures(params_seq: Sequence[MixtureParams]) -> list[MixtureCertifi
     return certificates
 
 
-def _sample_sums(col, live, saturated, factor, table, other=None):
-    """sum_k factor_k * table[:, col_k] (* other[:, col_k]) as (kernels, rows).
+def _ordered_sum(terms):
+    """Sum nonnegative terms over their first axis, in numpy's order for a row.
 
-    col and factor are (kernels, K).  Rows from live on are set to
-    saturated instead.  The terms are laid out (rows, kernels, K) with K
-    innermost, like a lone kernel's (rows, K) array, so numpy adds each
-    row in the same order, and the products are taken in the order
-    (table * factor) * other.
+    This is the order in which numpy's sum(axis=-1) adds a contiguous row
+    of n = len(terms) values, written out one vector operation per term:
+    below 8 terms in sequence; up to 128 in 8 lanes over the first
+    n - n % 8 terms, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the rest in sequence; above 128 as the sum of two parts, the
+    first n // 2 terms rounded down to a multiple of 8 and the rest.
+    numpy starts from +0.0, which changes no nonnegative sum.
     """
-    count, size = col.shape
-    out = np.empty((count, table.shape[0]))
+    n = len(terms)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _ordered_sum(terms[:half]) + _ordered_sum(terms[half:])
+    if n < 8:
+        total, rest = terms[0].copy(), terms[1:]
+    else:
+        r = terms[:8].copy()
+        for k in range(8, n - n % 8, 8):
+            r += terms[k : k + 8]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = terms[n - n % 8 :]
+    for term in rest:
+        total += term
+    return total
+
+
+def _sample_sums(out, col, live, saturated, factor, table, other=None):
+    """Write sum_k factor_k * table[col_k] (* other[col_k]) into out, (kernels, rows).
+
+    col is (kernels, K), factor (K, kernels), and table and other are
+    (width, row) tables.  Rows from live on are set to saturated instead.
+    The products are taken in the order (table * factor) * other.
+    """
     out[:, live:] = saturated
-    terms = np.take(table[:live], col.ravel(), axis=1)
-    terms *= factor.ravel()
+    terms = table[col.T, :live]
+    terms *= factor[..., None]
     if other is not None:
-        terms *= np.take(other[:live], col.ravel(), axis=1)
-    out[:, :live] = terms.reshape(live, count, size).sum(axis=-1).T
-    return out
+        terms *= other[col.T, :live]
+    out[:, :live] = _ordered_sum(terms)
 
 
 def _cell_bounds(lo, hi, j_lo, j_hi, bump):
-    curvature = np.maximum(2.0 / (lo + 1.0) ** 3, bump)
-    slack = curvature * (hi - lo) ** 2 * (0.125 * (1.0 + 2.0**-20))
-    return np.maximum(j_lo, j_hi) + slack, np.minimum(j_lo, j_hi) - slack
+    # curvature * (hi - lo)^2 * (1 + 2^-20) / 8, and the chord's ends moved by
+    # it, in place: round 0's arrays are larger than the cache.
+    slack = np.maximum(2.0 / (lo + 1.0) ** 3, bump)
+    slack *= (hi - lo) ** 2
+    slack *= 0.125 * (1.0 + 2.0**-20)
+    upper, lower = np.maximum(j_lo, j_hi), np.minimum(j_lo, j_hi)
+    upper += slack
+    lower -= slack
+    return upper, lower
 
 
-def _bisect(runs, edges, owner, lo, hi):
+def _bisect(classes, edges, owner, lo, hi):
     """j at the midpoints of cells sorted by owner, and the bumps of their halves.
 
-    lo and hi are (cells, 2): the left and the right half of each cell.
-    runs holds each size's first kernel and per-term factors, and edges
-    the index of each run's first cell.
+    lo and hi are (2, cells): the left and the right halves of the cells.
+    classes holds each size class's first kernel and its per-term
+    factors, (factor, term, kernel) with zero terms as padding, and edges
+    the index of each class's first cell.  The bumps come back in the
+    order of lo.T.ravel(), each cell's left half before its right one.
     """
     from scipy.special import erf
 
-    mid = lo[:, 1]
+    mid = lo[1]
     sums = np.empty(mid.size)
     bump = np.empty(lo.shape)
-    for (start, factors), i, j in zip(runs, edges, [*edges[1:], mid.size]):
+    for (start, factors), i, j in zip(classes, edges, [*edges[1:], mid.size]):
         if i == j:
             continue
-        f = factors[owner[i:j] - start]
-        sums[i:j] = (erf(mid[i:j, None] * f[:, 0]) * f[:, 1]).sum(axis=-1)
-        f = f[:, None]
-        y = np.minimum(np.maximum(f[..., 2, :], lo[i:j, :, None]), hi[i:j, :, None])
-        bump[i:j] = (f[..., 3, :] * y * np.exp(f[..., 4, :] * y * y)).sum(axis=-1)
-    return mid / (mid + 1.0) - sums, bump.ravel()
+        root, mass, peak, weight, slope = factors[..., None, owner[i:j] - start]
+        sums[i:j] = _ordered_sum(erf(mid[i:j] * root[:, 0]) * mass[:, 0])
+        y = np.minimum(np.maximum(peak, lo[:, i:j]), hi[:, i:j])
+        bump[:, i:j] = _ordered_sum(weight * y * np.exp(slope * y * y))
+    return mid / (mid + 1.0) - sums, bump.T.ravel()
 
 
 def node_value(c, osc, L):

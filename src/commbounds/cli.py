@@ -14,9 +14,10 @@ Subcommands:
   counterexample  print the fixed 3x3 trace-norm reversal report
 
 Exit codes: 0 on success, 1 on usage errors (bad arguments, unreadable
-or malformed input files), 2 on a CommboundsError: a validation or
-computation failure, such as a domain violation, a rejected root or
-certificate, a coverage gap, or a failed witness fit or quadrature.
+or malformed input files, output paths that cannot be written), 2 on a
+CommboundsError: a validation or computation failure, such as a domain
+violation, a rejected root or certificate, a coverage gap, or a failed
+witness fit or quadrature.
 
 Output files are written atomically (temporary file in the destination
 directory, then rename).
@@ -78,16 +79,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text to path through a temporary file beside it; an OSError is a usage error."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:

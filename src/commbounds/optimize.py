@@ -16,10 +16,14 @@ bit for bit.
 `certify_grid` is the search-free certifier: it certifies the committed
 Gaussian-mixture witnesses in one batched `certify_mixtures` pass, and
 every node takes their lower envelope and the resolvent bound 1 + c.
-The envelope evaluates the upward-rounded node_value only on the
-witnesses whose plain osc + c*L is within 64 ulps (relative) of the
-node's least: rounding moves neither quantity far enough for any other
-witness to win or tie (the argument is in certify_grid's docstring).
+Each witness is a line osc + t L, so the envelope comes from the exact
+lower hull of those lines: a node looks only at the witnesses within a
+relative 1e-9 of the hull at either end of its piece, and evaluates the
+upward-rounded node_value only on those whose plain osc + c*L is within
+64 ulps (relative) of the node's least.  Rounding moves neither quantity
+far enough for any other witness to win or tie (the argument is in
+certify_grid's docstring).  `hull_constant` bounds the node constant at
+every c > 0 from the same hull, with no grid.
 """
 
 from __future__ import annotations
@@ -52,6 +56,8 @@ __all__ = [
     "build_paper_grid",
     "optimize_grid",
     "certify_grid",
+    "HullConstant",
+    "hull_constant",
 ]
 
 
@@ -64,12 +70,15 @@ _MAX_EVALS = 20000
 _LOWER_BOUNDS = (1e-8, 1e-8)
 
 # certify_grid evaluates node_value only where the plain osc + c*L is
-# within this many ulps (relative) of the node's least; see there.
+# within this many ulps (relative) of the node's least, and looks for
+# those witnesses among the ones within _HULL_SLACK (relative) of the
+# lower hull at either end of the node's piece; see there.
 _PRUNE_ULPS = 64
+_HULL_SLACK = 1e-9
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundPoint:
     """One certified grid node: location c, constant C_k, and its parameters.
 
@@ -262,10 +271,24 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     absolute error of a subnormal c*L does not count.  A witness whose h
     exceeds the node's least h by a factor above 1 + 64 eps (_PRUNE_ULPS
     ulps) therefore has a node_value above the least one: it can neither
-    win nor tie.  The pruned pairs get inf, and argmin picks the witness
-    it picks among every node_value; when even the least node_value
-    overflows to inf, every one does, and it picks the first witness
-    either way.
+    win nor tie.
+
+    The witnesses that can pass that test are found from the lower hull
+    of the lines E_k(t) = osc_k + t L_k (_lower_hull).  A node c lies in
+    a piece [a, b] between float breakpoints, clipped to the grid's
+    range, with hull line E_p.  The node's least h is at most h_p, so a
+    witness that passes the test at c has E_k(c) <= (1 + 100 eps) E_p(c).
+    E_k - (1 + 100 eps) E_p is affine in t, so it is <= 0 at a or at b,
+    and there the plain h_k is below the plain h_p times 1 + 1e-9
+    (_HULL_SLACK).  The witnesses within that slack of E_p at either end
+    of the piece, its candidates, therefore hold every witness that
+    passes the test at any node of the piece, however the breakpoints
+    are rounded; that E_p is the lowest line there only keeps them few.
+    Their least h is the node's least h, the test keeps the same
+    witnesses, and node_value and argmin over the candidates, in index
+    order, pick the witness that they pick over the whole table.  When
+    even the least node_value overflows to inf, every one does, and the
+    node takes the first witness, as the argmin over the table would.
     """
     cs = np.array([float(c) for c in grid])
     if not np.all(np.isfinite(cs) & (cs > 0.0)):
@@ -276,16 +299,134 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     certificates = certify_mixtures(witnesses)
     osc = np.array([cert.osc for cert in certificates])
     amplitude = np.array([cert.L for cert in certificates])
-    h = np.multiply.outer(cs, amplitude)
+    lines, breaks = _lower_hull(osc, amplitude)
+    ends = np.clip(np.concatenate(([cs.min()], breaks, [cs.max()])), cs.min(), cs.max())
+    h = np.multiply.outer(ends, amplitude)
     h += osc
-    kept = np.flatnonzero(h <= h.min(axis=1, keepdims=True) * (1.0 + _PRUNE_ULPS * _EPS))
-    rows, cols = divmod(kept, osc.size)
-    values = np.full(h.shape, np.inf)
-    values.flat[kept] = node_value(cs[rows], osc[cols], amplitude[cols])
-    best = values.argmin(axis=1)
-    envelope = values[np.arange(cs.size), best]
+    pieces = np.arange(lines.size)
+    near = (h[:-1] <= h[pieces, lines, None] * (1.0 + _HULL_SLACK)) | (
+        h[1:] <= h[pieces + 1, lines, None] * (1.0 + _HULL_SLACK)
+    )
+    # Each piece's candidates in index order, the last one repeated up to
+    # the largest count, so that every node gets a row of the same width.
+    counts = near.sum(axis=1)
+    slots = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    table = np.nonzero(near)[1][(np.cumsum(counts) - counts)[:, None] + slots]
+    candidates = table[np.searchsorted(breaks, cs)]
+    h = cs[:, None] * amplitude[candidates]
+    h += osc[candidates]
+    kept = h <= h.min(axis=1, keepdims=True) * (1.0 + _PRUNE_ULPS * _EPS)
+    values = np.where(kept, node_value(cs[:, None], osc[candidates], amplitude[candidates]), np.inf)
+    rows = np.arange(cs.size)
+    column = values.argmin(axis=1)
+    envelope = values[rows, column]
+    best = np.where(envelope < np.inf, candidates[rows, column], 0)
     resolvent = np.nextafter(cs + 1.0, np.inf)
     return [
-        BoundPoint(c, r, None) if r < m else BoundPoint(c, m, witnesses[k])
+        _bound_point(c, r, None) if r < m else _bound_point(c, m, witnesses[k])
         for c, k, m, r in zip(cs.tolist(), best.tolist(), envelope.tolist(), resolvent.tolist())
     ]
+
+
+@dataclass(frozen=True)
+class HullConstant:
+    """A certified bound on the node constant at every c > 0, and where it binds.
+
+    C is the bound; c is the breakpoint of the witness table's lower hull
+    at which it is reached, and witness the index in the table of the
+    line that gives it there (None for the resolvent or the trivial line).
+    """
+
+    C: float
+    c: float
+    witness: int | None
+
+
+def hull_constant() -> HullConstant:
+    """Bound the node constant over all c > 0 from the witness table's lower hull, with no grid.
+
+    Each certified witness gives the line E_k(t) = osc_k + t L_k, and the
+    constant at t is at most E_k(t) (1 + t) / t for every k.  Two lines
+    join them: the resolvent line t (osc 0, L 1, the bound 1 + t) and the
+    trivial line 1 (g = 0, osc 1, L 0).  Take their lower hull
+    (_lower_hull) with float breakpoints t_1 <= ... <= t_n, and bound
+    each piece [t_(i-1), t_i] by its own line.  Any line bounds the
+    constant, so the pieces need not be exact: they cover (0, inf)
+    because the breakpoints never decrease.  On a piece,
+    (osc + tL)(1 + t)/t = osc/t + osc + L + tL is convex in t, so its sup
+    is at an end.  The witnesses' osc are positive and their L too, so
+    the first piece is the resolvent line's, 1 + t, increasing, and the
+    last is the trivial line's, (1 + t)/t, decreasing: both are largest
+    at their finite end.  The bound is therefore the largest node_value,
+    rounded upward, of the two lines that meet at each breakpoint.  The
+    table is certified afresh on every call, as in certify_grid.
+    """
+    witnesses = load_witnesses()
+    certificates = certify_mixtures(witnesses)
+    osc = np.array([cert.osc for cert in certificates] + [0.0, 1.0])
+    amplitude = np.array([cert.L for cert in certificates] + [1.0, 0.0])
+    lines, breaks = _lower_hull(osc, amplitude)
+    ends = np.stack((lines[:-1], lines[1:]))
+    values = node_value(breaks, osc[ends], amplitude[ends])
+    side, i = np.unravel_index(values.argmax(), values.shape)
+    k = int(ends[side, i])
+    return HullConstant(float(values[side, i]), float(breaks[i]), k if k < len(witnesses) else None)
+
+
+# The slots' own setters, which the frozen __setattr__ does not guard.
+_SET_C, _SET_C_K, _SET_PARAMS = (BoundPoint.__dict__[name].__set__ for name in ("c", "C_k", "params"))
+
+
+def _bound_point(c: float, C_k: float, params) -> BoundPoint:
+    """BoundPoint(c, C_k, params), its slots filled by their own setters.
+
+    The frozen dataclass's __init__ sets each field with a call to
+    object.__setattr__; the instance left here is the same, and
+    certify_grid builds thousands of them.
+    """
+    point = object.__new__(BoundPoint)
+    _SET_C(point, c)
+    _SET_C_K(point, C_k)
+    _SET_PARAMS(point, params)
+    return point
+
+
+def _lower_hull(osc: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lines osc_k + t L_k of the lower envelope on t > 0, and its float breakpoints.
+
+    Returns the indices of the hull's lines in the order in which they
+    are lowest as t grows, and the float breakpoints between
+    consecutive lines, made non-decreasing; each is the quotient of two
+    float differences, so within a few ulps of the exact meeting point.
+    The lines are taken by decreasing slope (of equal slopes the lowest,
+    of equal lines the first), and the line on top of the stack is
+    popped when the new line meets it no later than it meets the line
+    below it, or, with no line below, at t <= 0.  Those tests are
+    exact: they compare products of Python integers.  The lines kept are
+    exactly those that are lowest on an interval of positive length.
+    """
+    # Every float is an integer over a power of two, so on the largest of
+    # those denominators every osc and L is an integer.
+    ratios = [x.as_integer_ratio() for x in osc.tolist() + L.tolist()]
+    scale = max(d for _, d in ratios)
+    scaled = [n * (scale // d) for n, d in ratios]
+    exact = list(zip(scaled[: osc.size], scaled[osc.size :]))
+    hull: list[int] = []
+    for k in sorted(range(osc.size), key=lambda k: (-exact[k][1], exact[k][0])):
+        o_k, s_k = exact[k]
+        if hull and exact[hull[-1]][1] == s_k:
+            continue
+        while hull:
+            o_a, s_a = exact[hull[-1]]
+            if len(hull) > 1:
+                o_b, s_b = exact[hull[-2]]
+                pop = (o_k - o_a) * (s_b - s_a) <= (o_a - o_b) * (s_a - s_k)
+            else:
+                pop = o_k <= o_a
+            if not pop:
+                break
+            hull.pop()
+        hull.append(k)
+    lines = np.array(hull)
+    breaks = (osc[lines[1:]] - osc[lines[:-1]]) / (L[lines[:-1]] - L[lines[1:]])
+    return lines, np.maximum.accumulate(breaks)

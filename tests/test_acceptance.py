@@ -38,7 +38,7 @@ from commbounds.matrixlab import (
     verify_exp_equivalence,
     verify_jensen,
 )
-from commbounds.optimize import build_paper_grid, certify_grid
+from commbounds.optimize import build_paper_grid, certify_grid, hull_constant
 from commbounds.stitch import gamma_half_via_Cc, global_constant, sqrt_constant
 
 SPAN = (0.0195, 40.0)
@@ -102,8 +102,10 @@ def kind_cycle(n):
 def test_criterion_1_main_constant_certificate(paper_certificate):
     points, cert = paper_certificate
     top = max(points, key=lambda p: p.C_k)
+    hull = hull_constant()
     print(
         f"criterion 1: global_C={cert.global_C!r} "
+        f"hull_C={hull.C!r} at c={hull.c!r} (witness {hull.witness}) "
         f"corner_small={cert.corner_small!r} corner_large={cert.corner_large!r} "
         f"nodes={len(points)} max_C_k={top.C_k!r} at c={top.c!r} "
         f"max_D_k={max(cert.lifted)!r}"

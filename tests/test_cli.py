@@ -141,6 +141,14 @@ class TestCertifyCommand:
         assert "corner_large=1.5625" in stdout.splitlines()
         assert "global_C=1.5625" in stdout.splitlines()
 
+    def test_out_in_a_missing_directory_is_usage_error(self, capsys, tmp_path):
+        out = str(tmp_path / "missing" / "cert.json")
+        code, stdout, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)
+        assert code == 1
+        assert err.startswith(f"usage error: cannot write {out}: ") and "Traceback" not in err
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_grid_spec_exit_one(self, capsys, tmp_path):
         for spec in ("weird", "1:2", "0:1:0.5", "1:2:-1"):
             code, _, _ = run(
@@ -506,6 +514,14 @@ class TestCounterexampleCommand:
         assert code == 0
         assert "wrote" in out
         assert json.loads(open(path).read())["reversal"] is True
+
+    def test_out_in_a_missing_directory_is_usage_error(self, capsys, tmp_path):
+        path = str(tmp_path / "missing" / "ce.json")
+        code, out, err = run(capsys, "counterexample", "--out", path)
+        assert code == 1
+        assert err.startswith(f"usage error: cannot write {path}: ") and "Traceback" not in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWrittenFilesPinned:

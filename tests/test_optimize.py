@@ -3,9 +3,12 @@
 import hashlib
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from commbounds import optimize
 from commbounds.approx import (
@@ -23,6 +26,7 @@ from commbounds.optimize import (
     BoundPoint,
     build_paper_grid,
     certify_grid,
+    hull_constant,
     optimize_grid,
     pattern_search,
     pattern_search_nd,
@@ -445,3 +449,157 @@ class TestPrunedEnvelope:
             expected = full_envelope(cs, osc, L)
             assert pruned_envelope(monkeypatch, cs, osc, L) == expected
         assert expected[0] == (math.inf, 0)
+
+
+POSITIVE = st.floats(1e-4, 2.0)
+
+
+@st.composite
+def line_tables(draw):
+    """Shuffled (osc, L) tables with repeated slopes, duplicated lines and near-collinear triples.
+
+    A table starts from one to six random lines, then gains exact
+    copies, lines with an existing slope, lines through the meeting
+    point of two others moved by up to three ulps in osc, and three
+    lines through one point (t, y), all dyadic with few bits so that
+    they meet exactly.
+    """
+    osc, L = map(list, zip(*draw(st.lists(st.tuples(POSITIVE, POSITIVE), min_size=1, max_size=6))))
+    for kind in draw(st.lists(st.sampled_from(["duplicate", "slope", "collinear", "pencil"]), max_size=6)):
+        a, b = draw(st.integers(0, len(osc) - 1)), draw(st.integers(0, len(osc) - 1))
+        if kind == "pencil":
+            t, y = draw(st.integers(1, 64)) / 16, draw(st.integers(1, 64)) / 64
+            for slope in draw(st.lists(st.integers(1, 128), min_size=3, max_size=3)):
+                if y - t * slope / 64 > 0.0:
+                    osc.append(y - t * slope / 64), L.append(slope / 64)
+        elif kind == "duplicate":
+            osc.append(osc[a]), L.append(L[a])
+        elif kind == "slope":
+            osc.append(draw(POSITIVE)), L.append(L[a])
+        elif L[a] != L[b]:
+            meet = (osc[b] - osc[a]) / (L[a] - L[b])
+            slope = draw(POSITIVE)
+            through = float(ulps(osc[a] + meet * (L[a] - slope), draw(st.integers(-3, 3))))
+            if through > 0.0:
+                osc.append(through), L.append(slope)
+    order = draw(st.permutations(range(len(osc))))
+    return np.array(osc)[order], np.array(L)[order]
+
+
+# The middle line is lowest on an interval a few ulps long, but the
+# plain-float pop test, (o3 - o2)(L1 - L2) > (o2 - o1)(L2 - L3), drops it.
+NEAR_CONCURRENT = (
+    np.array([0.6068066850147419, 1.1752024542265045, 7.733519780478512]),
+    np.array([1.7649697537636322, 1.6924102171147826, 0.8551969721096504]),
+)
+# All three lines are on the hull, but the rounded meeting point of the
+# last two is below that of the first two.
+INVERTED_BREAKS = (
+    np.array([0.597876741582038, 1.5302688748142852, 3.722427830699102]),
+    np.array([1.4500855853578687, 1.1211074539309756, 0.3476428016738966]),
+)
+
+
+def meeting_points(osc, L):
+    """Every positive float (osc_j - osc_i) / (L_i - L_j): each float breakpoint of the hull is one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        meets = (osc[None, :] - osc[:, None]) / (L[:, None] - L[None, :])
+    return sorted(set(meets[np.isfinite(meets) & (meets > 0.0)].tolist()))
+
+
+def exact_lowest(osc, L):
+    """The (osc, L) of the lines that are lowest on t > 0, by exact arithmetic, in order of t.
+
+    Between two consecutive exact meeting points (and before the first,
+    and after the last) no two distinct lines cross, so the lowest line
+    at the midpoint is the lowest on that whole interval.
+    """
+    lines = [(Fraction(o), Fraction(a)) for o, a in zip(osc.tolist(), L.tolist())]
+    meets = sorted(
+        {(o2 - o1) / (a1 - a2) for o1, a1 in lines for o2, a2 in lines if a1 != a2 and (o2 - o1) / (a1 - a2) > 0}
+    )
+    ends = [Fraction(0), *meets, (meets[-1] if meets else Fraction(0)) + 2]
+    lowest = []
+    for left, right in zip(ends, ends[1:]):
+        t = (left + right) / 2
+        line = min(lines, key=lambda line: line[0] + t * line[1])
+        if not lowest or lowest[-1] != line:
+            lowest.append(line)
+    return [(float(o), float(a)) for o, a in lowest]
+
+
+class TestLowerHull:
+    """The hull path of certify_grid against exact arithmetic and the full envelope."""
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(table=line_tables())
+    @example(table=NEAR_CONCURRENT)
+    @example(table=INVERTED_BREAKS)
+    def test_lines_are_the_exact_lower_hull(self, table):
+        osc, L = table
+        lines, breaks = optimize._lower_hull(osc, L)
+        assert list(zip(osc[lines].tolist(), L[lines].tolist())) == exact_lowest(osc, L)
+        assert breaks.size == lines.size - 1
+        assert (np.diff(breaks) >= 0.0).all() and (breaks > 0.0).all()
+        for t, a, b in zip(breaks.tolist(), lines[:-1], lines[1:]):
+            exact = (Fraction(osc[b]) - Fraction(osc[a])) / (Fraction(L[a]) - Fraction(L[b]))
+            assert abs(Fraction(t) - exact) <= exact * Fraction(4 * sys.float_info.epsilon)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(table=line_tables(), data=st.data())
+    def test_matches_full_envelope(self, table, data):
+        osc, L = table
+        meets = meeting_points(osc, L)
+        cs = data.draw(st.lists(st.floats(1e-3, 1e3), min_size=0 if meets else 1, max_size=20))
+        if meets:
+            cs += data.draw(st.lists(st.sampled_from(meets), min_size=1, max_size=8))
+        cs = np.array(data.draw(st.permutations(cs)))
+        with pytest.MonkeyPatch.context() as patch:
+            assert pruned_envelope(patch, cs, osc, L) == full_envelope(cs, osc, L)
+
+    def test_near_concurrent_table_matches_full_envelope(self, monkeypatch):
+        osc, L = NEAR_CONCURRENT
+        meets = meeting_points(osc, L)
+        cs = np.array(sorted({ulps(t, d) for t in meets for d in range(-2, 3)} | set(np.geomspace(0.1, 10.0, 50))))
+        assert pruned_envelope(monkeypatch, cs, osc, L) == full_envelope(cs, osc, L)
+
+    def test_single_line(self):
+        lines, breaks = optimize._lower_hull(np.array([0.3]), np.array([0.7]))
+        assert lines.tolist() == [0] and breaks.size == 0
+
+
+class TestHullConstant:
+    def test_certified_sup_of_the_table(self):
+        hull = hull_constant()
+        assert 1.0186323 <= hull.C <= 1.01864
+        assert hull.witness == 42
+        assert hull.c == pytest.approx(0.2973204, abs=1e-7)
+        assert max(p.C_k for p in certify_grid(build_paper_grid())) <= hull.C
+
+    def test_bounds_a_dense_scan(self):
+        certificates = optimize.certify_mixtures(load_witnesses())
+        osc = np.array([cert.osc for cert in certificates] + [0.0, 1.0])
+        L = np.array([cert.L for cert in certificates] + [1.0, 0.0])
+        t = np.geomspace(1e-3, 200.0, 20001)
+        scan = ((osc + t[:, None] * L) * (1.0 + t[:, None]) / t[:, None]).min(axis=1)
+        hull = hull_constant()
+        assert scan.max() <= hull.C <= scan.max() + 1e-6
+
+    def test_small_table_against_exact_sup(self, monkeypatch):
+        # The sup of min over lines of (osc + tL)(1 + t)/t, exactly, is taken
+        # at a breakpoint of the exact hull; the bound is at least it and
+        # only a few roundings above it.
+        osc, L = [0.05, 0.2, 0.2, 0.5], [0.6, 0.3, 0.35, 0.05]
+        tokens = [MixtureParams((1.0,), (float(k + 1),)) for k in range(len(osc))]
+        certificates = [MixtureCertificate(0.0, o, o, a) for o, a in zip(osc, L)]
+        monkeypatch.setattr(optimize, "load_witnesses", lambda: tokens)
+        monkeypatch.setattr(optimize, "certify_mixtures", lambda witnesses: certificates)
+        hull = hull_constant()
+        lines = [(Fraction(o), Fraction(a)) for o, a in zip(osc + [0.0, 1.0], L + [1.0, 0.0])]
+        lowest = [(Fraction(o), Fraction(a)) for o, a in exact_lowest(np.array(osc + [0.0, 1.0]), np.array(L + [1.0, 0.0]))]
+        best = Fraction(0)
+        for (o1, a1), (o2, a2) in zip(lowest, lowest[1:]):
+            t = (o2 - o1) / (a1 - a2)
+            best = max(best, min((o + t * a) * (1 + t) / t for o, a in lines))
+        assert best <= Fraction(hull.C) <= best * (1 + Fraction(16 * sys.float_info.epsilon))
+        assert hull.witness in (None, 0, 1, 3)

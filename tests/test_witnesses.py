@@ -166,6 +166,24 @@ def random_mixtures():
 RANDOM_MIXTURES = random_mixtures()
 
 
+def large_mixtures():
+    """Twenty seeded mixtures of 31 to 40 terms, drawn as random_mixtures draws them.
+
+    They fill the size class 32-39 and reach the next one, which
+    RANDOM_MIXTURES, at 1 to 30 terms, does not.
+    """
+    rng = np.random.default_rng(20261019)
+    out = []
+    for n in range(20):
+        size = 31 + n % 10
+        b = rng.choice(WIDTHS, size) if n % 2 == 0 else 10.0 ** rng.uniform(-8.0, 3.0, size)
+        if n % 5 == 0:
+            b[-1] = b[0]
+        w = rng.dirichlet(np.ones(size)) * rng.uniform(0.2, 1.5) * np.sqrt(b) * rng.uniform(0.5, 1.5, size)
+        out.append(MixtureParams(tuple(float(v) for v in w), tuple(float(v) for v in b)))
+    return out
+
+
 def full_program():
     """Every row of the sampled program: erf(sqrt(b_k) x) and f1(x) per sample, then the limit."""
     xs = np.geomspace(1e-4, 1e8, 3000)
@@ -384,6 +402,32 @@ class TestBatchedCertifier:
         assert certify_mixtures(RANDOM_MIXTURES) == reference
         mixed = RANDOM_MIXTURES[::-1] + WITNESSES[::7]
         assert certify_mixtures(mixed) == [reference_certificate(p) for p in mixed]
+
+    def test_large_mixtures_alone_and_batched(self):
+        large = large_mixtures()
+        assert {len(p.b) for p in large} == set(range(31, 41))
+        reference = [reference_certificate(p) for p in large]
+        assert [certify_mixture(p) for p in large] == reference
+        assert certify_mixtures(large) == reference
+        mixed = large[::-1] + RANDOM_MIXTURES[::13] + WITNESSES[::9]
+        assert certify_mixtures(mixed) == [reference_certificate(p) for p in mixed]
+
+    def test_written_order_is_numpys_row_sum(self):
+        # _ordered_sum adds the rows of a (K, n) array in the order that
+        # numpy's sum(axis=-1) adds a row of K values; zero terms padded up
+        # to the top of K's size class change no bit.  Sequential addition
+        # differs from numpy for some K, so the order is not moot.
+        rng = np.random.default_rng(7)
+        sequential_differs = False
+        for size in [*range(1, 41), 127, 128, 129, 200, 300]:
+            rows = rng.random((256, size)) * 10.0 ** rng.uniform(-12.0, 0.0, (256, size))
+            expected = rows.sum(axis=-1)
+            assert (approx._ordered_sum(rows.T) == expected).all(), size
+            top = size | 7 if size < 128 else size
+            padded = np.vstack((rows.T, np.zeros((top - size, rows.shape[0]))))
+            assert (approx._ordered_sum(padded) == expected).all(), size
+            sequential_differs |= bool((np.cumsum(rows, axis=1)[:, -1] != expected).any())
+        assert sequential_differs
 
     def test_empty_batch(self):
         assert certify_mixtures([]) == []
