@@ -91,10 +91,28 @@ def _as_square(A, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
-    """Reject a square m with ||m - m*|| > 1e-12 ||m|| in the Frobenius norm."""
-    if np.linalg.norm(m - m.conj().T) > 1e-12 * np.linalg.norm(m):
+def _frobenius(m: np.ndarray) -> float:
+    """The Frobenius norm of a complex array by numpy.linalg.norm's own
+    arithmetic (the dots of the raveled real and imaginary parts, then
+    sqrt), so the same float, without norm's per-call argument handling."""
+    flat = m.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """m*, for a square complex m that passes ||m - m*|| <= 1e-12 ||m|| in
+    the Frobenius norm; any other m raises NotHermitian.
+
+    This checks a single matrix, in the one pass that hermitian_eig makes
+    over it: the adjoint is returned so that the caller forms it once, and
+    both norms come from _frobenius, numpy.linalg.norm's floats.  The
+    campaign's stacks are not checked; they are built Hermitian.
+    """
+    adjoint = m.conj().T
+    if _frobenius(m - adjoint) > 1e-12 * _frobenius(m):
         raise NotHermitian(f"{name} is not Hermitian within 1e-12 relative tolerance")
+    return adjoint
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
@@ -118,12 +136,14 @@ def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     gives them: ascending eigenvalues, and A = V diag(eigenvalues) V*.
 
     The input must be Hermitian within 1e-12 relative Frobenius
-    tolerance; its Hermitian part is decomposed, so roundoff skew in the
-    input does not reach the eigenvalues.
+    tolerance; its Hermitian part (h + h*)/2 is decomposed, so roundoff
+    skew in the input does not reach the eigenvalues.  The adjoint h* is
+    formed once, for the check and for the Hermitian part.  This is the
+    path of a single matrix; stacks of them (the campaign) go through the
+    vectorized _eigh_hermitian_part.
     """
     h = _as_square(A)
-    _check_hermitian(h)
-    return _eigh_hermitian_part(h)
+    return np.linalg.eigh(0.5 * (h + _check_hermitian(h)))
 
 
 def singular_values(X) -> np.ndarray:
@@ -246,9 +266,20 @@ def _psd_clip(eigenvalues: np.ndarray) -> np.ndarray:
     return np.clip(eigenvalues, 0.0, None)
 
 
-def _f_values(f: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    """A scalar f applied to each entry of a 1-d float array."""
-    return np.array([f(v) for v in values.tolist()], dtype=float)
+def _f_spectrum(f: Callable[[float], float], eigenvalues: np.ndarray) -> np.ndarray:
+    """f on one ascending spectrum, checked PSD and clamped at 0 in one pass.
+
+    The rule and the clamp are _psd_clip's, applied to the spectrum's
+    Python floats: the least eigenvalue must be at least
+    -1e-10 max(1, largest), with NaN propagating through the max as in
+    np.maximum, and each value v <= 0 (-0.0 included) becomes 0.0 as
+    np.clip makes it, while a NaN stays NaN.
+    """
+    values = eigenvalues.tolist()
+    low, top = values[0], values[-1]
+    if low < -1e-10 * (1.0 if top <= 1.0 else top):
+        raise DomainViolation(f"matrix has negative eigenvalue {low}, not PSD")
+    return np.array([f(0.0 if v <= 0.0 else v) for v in values], dtype=float)
 
 
 def _eigenbasis_commutator(f_lam, u, f_mu, v, x) -> np.ndarray:
@@ -266,10 +297,11 @@ def matrix_function(A, f: Callable[[float], float]) -> np.ndarray:
     Eigenvalues down to -1e-10 max(1, largest eigenvalue of A) are
     treated as roundoff and clamped to 0, so the tolerance scales with A
     when its norm exceeds 1; anything more negative is a genuine domain
-    violation for f on [0, inf).
+    violation for f on [0, inf).  The spectrum is checked, clamped and
+    mapped by f in one pass over its floats (_f_spectrum).
     """
     eigenvalues, vectors = hermitian_eig(A)
-    return _spectral_apply(_f_values(f, _psd_clip(eigenvalues)), vectors)
+    return _spectral_apply(_f_spectrum(f, eigenvalues), vectors)
 
 
 def _unitary(eigenvalues: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -329,15 +361,23 @@ def verify_conjecture_ratio(A, B, X, f: Callable[[float], float], kind: NormKind
     and V.  AX - XB is formed from A, B and X as given, and one svd call
     gives the singular values of X, of the numerator's matrix and of
     AX - XB.
+
+    Each of A and B is converted once and taken through one pass:
+    hermitian_eig checks and decomposes it, and _f_spectrum checks the
+    spectrum PSD, clamps it at 0 and maps it by f in one loop over its
+    floats, so f sees A's spectrum before B's is checked and before the
+    shape of X is.  A stack of instances (the campaign) does not come
+    here; it keeps the vectorized path of _stack_ratios.
     """
     x = _as_matrix(X, "X")
-    lam, u = hermitian_eig(A)
-    mu, v = hermitian_eig(B)
-    lam, mu = _psd_clip(lam), _psd_clip(mu)
+    a = np.asarray(A, dtype=np.complex128)
+    lam, u = hermitian_eig(a)
+    b = np.asarray(B, dtype=np.complex128)
+    mu, v = hermitian_eig(b)
+    f_lam, f_mu = _f_spectrum(f, lam), _f_spectrum(f, mu)
     if x.shape != (len(lam), len(mu)):
         raise DomainViolation(f"X must be {len(lam)} x {len(mu)}, got {x.shape}")
-    a, b = (np.asarray(m, dtype=np.complex128) for m in (A, B))
-    numerator_matrix = _eigenbasis_commutator(_f_values(f, lam), u, _f_values(f, mu), v, x)
+    numerator_matrix = _eigenbasis_commutator(f_lam, u, f_mu, v, x)
     singulars = np.linalg.svd(np.array((x, numerator_matrix, a @ x - x @ b)), compute_uv=False)
     nx, numerator, nk = (float(value) for value in _norm_from_singulars(singulars, kind))
     if nx == 0.0:
@@ -531,12 +571,20 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class CampaignReport:
-    """Outcome of a campaign: extremal instance plus ratio histogram."""
+    """Outcome of a campaign: extremal instance plus ratio histogram.
+
+    It records every setting of its CampaignConfig except threads, which
+    changes no result, so the campaign can be run again from the report.
+    """
 
     seed: int
     trials: int
     norm: str
     f: str
+    n_max: int
+    a_equals_b: bool
+    unit_norm_a: bool
+    min_commutator: float | None
     max_ratio: float
     argmax: dict | None
     histogram: dict
@@ -707,6 +755,10 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
         trials=cfg.trials,
         norm=str(cfg.norm),
         f=cfg.f,
+        n_max=cfg.n_max,
+        a_equals_b=cfg.a_equals_b,
+        unit_norm_a=cfg.unit_norm_a,
+        min_commutator=cfg.min_commutator,
         max_ratio=max_ratio,
         argmax=argmax,
         histogram={"edges": list(_histogram_edges(top)), "counts": [int(c) for c in counts]},

@@ -20,7 +20,7 @@ import commbounds
 
 from commbounds.approx import GaussianParams, erf_min_bound
 from commbounds.cli import UsageError, _parse_range, main, parse_norm
-from commbounds.matrixlab import NormKind
+from commbounds.matrixlab import CampaignConfig, NormKind, monte_carlo_campaign
 from commbounds.optimize import BoundPoint, build_paper_grid, certify_grid
 from commbounds.stitch import (
     RejectedCertificate,
@@ -460,6 +460,36 @@ class TestVerifyCommand:
         assert report["f"] == "f1"
         assert f"max_ratio={report['max_ratio']!r}" in stdout
         assert report["max_ratio"] <= 1.01975 + 1e-9
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--norm", "schatten:3", "--n-max", "4"),
+            ("--f", "sqrt", "--n-max", "5", "--a-equals-b", "--unit-norm-a", "--min-commutator", "0.25"),
+        ],
+        ids=("schatten", "sharp"),
+    )
+    def test_report_reruns_from_its_own_file(self, capsys, tmp_path, flags):
+        out = str(tmp_path / "r.json")
+        code, _, _ = run(capsys, "verify", "--trials", "1500", "--seed", "5", *flags, "--out", out)
+        assert code == 0
+        report = json.loads(open(out).read())
+        cfg = CampaignConfig(
+            n_max=report["n_max"],
+            trials=report["trials"],
+            seed=report["seed"],
+            f=report["f"],
+            norm=NormKind.parse(report["norm"]),
+            a_equals_b=report["a_equals_b"],
+            unit_norm_a=report["unit_norm_a"],
+            min_commutator=report["min_commutator"],
+        )
+        again = monte_carlo_campaign(cfg)
+        assert again.max_ratio == report["max_ratio"]
+        where = (report["argmax"]["shard"], report["argmax"]["trial"])
+        assert (again.argmax["shard"], again.argmax["trial"]) == where
+        assert again.histogram == report["histogram"]
+        assert "threads" not in report
 
     def test_report_keeps_every_digit_of_p(self, capsys, tmp_path):
         out = str(tmp_path / "r.json")

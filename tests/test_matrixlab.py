@@ -726,6 +726,20 @@ class TestConjectureRatio:
         assert worst <= 1.01975 + 1e-9
         assert worst > 0.5
 
+    def test_one_hermitian_eig_call_per_side(self, monkeypatch):
+        # The traced benchmark counters time hermitian_eig inside the ratio.
+        sizes = []
+        original = matrixlab.hermitian_eig
+
+        def counting(A):
+            sizes.append(len(A))
+            return original(A)
+
+        monkeypatch.setattr(matrixlab, "hermitian_eig", counting)
+        rng = np.random.default_rng(78)
+        verify_conjecture_ratio(random_psd(rng, 3), random_psd(rng, 5), random_complex(rng, 3, 5), f1, _OP)
+        assert sizes == [3, 5]
+
 
 class TestExpEquivalence:
     def test_zero_x_gives_zero_chain(self):
@@ -917,6 +931,237 @@ def test_boundary_rejects_each_bad_argument(entry, arg, bad, error):
     call(**good)
     with pytest.raises(error):
         call(**{**good, arg: BAD_INPUTS[bad](good[arg])})
+
+
+# verify_conjecture_ratio, hermitian_eig, _check_hermitian, _psd_clip and
+# _f_values as they were before a single matrix's spectrum went through one
+# pass (_check_hermitian returning the adjoint, _f_spectrum).  The one-pass
+# code must give every ratio, exception type and message of these bit for bit.
+
+
+def _reference_check_hermitian(m: np.ndarray, name: str = "matrix") -> None:
+    """Reject a square m with ||m - m*|| > 1e-12 ||m|| in the Frobenius norm."""
+    if np.linalg.norm(m - m.conj().T) > 1e-12 * np.linalg.norm(m):
+        raise NotHermitian(f"{name} is not Hermitian within 1e-12 relative tolerance")
+
+
+def _reference_hermitian_eig(A):
+    h = matrixlab._as_square(A)
+    _reference_check_hermitian(h)
+    return matrixlab._eigh_hermitian_part(h)
+
+
+def _reference_psd_clip(eigenvalues: np.ndarray) -> np.ndarray:
+    """An ascending spectrum, or a stack of them, checked PSD and clamped at 0.
+
+    A spectrum is PSD when its least eigenvalue is at least
+    -1e-10 max(1, largest eigenvalue); the roundoff negatives become 0.
+    """
+    low = eigenvalues[..., 0]
+    negative = low < -1e-10 * np.maximum(1.0, eigenvalues[..., -1])
+    if negative.any():
+        raise DomainViolation(f"matrix has negative eigenvalue {np.min(low[negative])}, not PSD")
+    return np.clip(eigenvalues, 0.0, None)
+
+
+def _reference_f_values(f, values: np.ndarray) -> np.ndarray:
+    """A scalar f applied to each entry of a 1-d float array."""
+    return np.array([f(v) for v in values.tolist()], dtype=float)
+
+
+def reference_conjecture_ratio(A, B, X, f, kind: NormKind) -> float:
+    x = matrixlab._as_matrix(X, "X")
+    lam, u = _reference_hermitian_eig(A)
+    mu, v = _reference_hermitian_eig(B)
+    lam, mu = _reference_psd_clip(lam), _reference_psd_clip(mu)
+    if x.shape != (len(lam), len(mu)):
+        raise DomainViolation(f"X must be {len(lam)} x {len(mu)}, got {x.shape}")
+    a, b = (np.asarray(m, dtype=np.complex128) for m in (A, B))
+    numerator_matrix = matrixlab._eigenbasis_commutator(
+        _reference_f_values(f, lam), u, _reference_f_values(f, mu), v, x
+    )
+    singulars = np.linalg.svd(np.array((x, numerator_matrix, a @ x - x @ b)), compute_uv=False)
+    nx, numerator, nk = (float(value) for value in matrixlab._norm_from_singulars(singulars, kind))
+    if nx == 0.0:
+        raise ZeroDenominator("X has zero norm")
+    denominator = nx * f(nk / nx)
+    if denominator == 0.0:
+        if numerator <= 1e-12 * max(nx, 1.0):
+            return 0.0
+        raise ZeroDenominator(
+            f"denominator vanished with numerator {numerator:.3e}"
+        )
+    return numerator / denominator
+
+
+def _outcome(call, *args):
+    """repr of the result, or (type, message) of the exception raised."""
+    try:
+        return repr(call(*args))
+    except Exception as exc:  # the comparison covers every error alike
+        return type(exc), str(exc)
+
+
+# ALL_KINDS_3 holds kyfan:3; Schatten 400 adds the large-p scaling.
+ONE_PASS_KINDS = ALL_KINDS_3 + (NormKind.schatten(400.0),)
+ONE_PASS_SHAPES = [(n, n) for n in range(2, 7)] + [(3, 5), (5, 3), (4, 2)]
+
+
+def one_pass_instances(rng, rows, cols):
+    """(label, A, B, X) around one random draw of the given shape.
+
+    Besides the plain draw: A = B; A singular with an exact zero
+    eigenvalue; X = 0; A shifted so that its least eigenvalue lands near
+    the PSD threshold on either side; A with a skew part near the
+    Hermitian tolerance on either side; A and B as nested lists.
+    """
+    a, b, x = random_psd(rng, rows), random_psd(rng, cols), random_complex(rng, rows, cols)
+    yield "plain", a, b, x
+    if rows == cols:
+        yield "a-equals-b", a, a, x
+    m = random_complex(rng, rows)
+    m[int(rng.choice([0, rows - 1]))] = 0.0
+    yield "singular", m @ m.conj().T, b, x
+    yield "zero-x", a, b, np.zeros((rows, cols))
+    values = np.linalg.eigvalsh(a)
+    shift = values[0] + 1e-10 * max(1.0, values[-1]) * float(rng.uniform(0.5, 1.5))
+    yield "psd-edge", a - shift * np.eye(rows), b, x
+    skew = random_hermitian(rng, rows) * 1j
+    scale = 0.5e-12 * fro(a) / fro(skew) * float(rng.uniform(0.5, 1.5))
+    yield "hermitian-edge", a + scale * skew, b, x
+    yield "lists", a.tolist(), b.tolist(), x
+
+
+class TestOnePassMatchesReference:
+    def test_every_ratio_and_error_bit_for_bit(self):
+        rng = np.random.default_rng(79)
+        calls = 0
+        labels = set()
+        for rows, cols in ONE_PASS_SHAPES:
+            for _ in range(3):
+                fs = (f1, math.sqrt, random_concave(rng))
+                for label, a, b, x in one_pass_instances(rng, rows, cols):
+                    for f in fs:
+                        for kind in ONE_PASS_KINDS:
+                            expected = _outcome(reference_conjecture_ratio, a, b, x, f, kind)
+                            assert _outcome(verify_conjecture_ratio, a, b, x, f, kind) == expected, (label, kind)
+                            labels.add((label, isinstance(expected, str)))
+                            calls += 1
+        assert calls >= 3000
+        # Each edge case both passes and fails somewhere in the sweep.
+        for label in ("psd-edge", "hermitian-edge"):
+            assert (label, True) in labels and (label, False) in labels
+        assert ("zero-x", False) in labels and ("singular", True) in labels
+
+    @pytest.mark.parametrize(
+        "arg, bad",
+        [(arg, bad) for entry, arg, bad, _ in boundary_rows() if entry == "verify_conjecture_ratio"],
+    )
+    def test_boundary_errors_bit_for_bit(self, arg, bad):
+        _, good, _ = BOUNDARY_ENTRIES["verify_conjecture_ratio"]
+        args = {**good, arg: BAD_INPUTS[bad](good[arg])}
+        expected = _outcome(reference_conjecture_ratio, args["A"], args["B"], args["X"], f1, _OP)
+        assert isinstance(expected, tuple)
+        assert _outcome(verify_conjecture_ratio, args["A"], args["B"], args["X"], f1, _OP) == expected
+
+    def test_matrix_function_bit_for_bit(self):
+        rng = np.random.default_rng(80)
+        for n in range(1, 7):
+            for _ in range(5):
+                a = random_psd(rng, n)
+                values = np.linalg.eigvalsh(a)
+                edge = a - (values[0] + 1e-10 * max(1.0, values[-1]) * float(rng.uniform(0.5, 1.5))) * np.eye(n)
+                for m in (a, edge):
+                    for f in (f1, math.sqrt):
+                        try:
+                            got = matrix_function(m, f)
+                        except DomainViolation as exc:
+                            got = str(exc)
+                        try:
+                            eigenvalues, vectors = _reference_hermitian_eig(m)
+                            clipped = _reference_psd_clip(eigenvalues)
+                            want = matrixlab._spectral_apply(_reference_f_values(f, clipped), vectors)
+                        except DomainViolation as exc:
+                            want = str(exc)
+                        if isinstance(want, str):
+                            assert got == want
+                        else:
+                            assert got.tobytes() == want.tobytes()
+
+
+class TestOnePassPieces:
+    def test_frobenius_is_numpy_norm_bit_for_bit(self):
+        rng = np.random.default_rng(81)
+        for exponent in range(-150, 151, 5):
+            scale = 10.0**exponent
+            for rows, cols in ((1, 1), (2, 2), (3, 5), (6, 6), (7, 4)):
+                m = scale * random_complex(rng, rows, cols)
+                views = [m, m.T, m.conj(), m.conj().T, m[::-1, ::2], m.T[:, ::-1]]
+                if rows == cols:
+                    views.append(m - m.conj().T)
+                for view in views:
+                    want = np.linalg.norm(view)
+                    assert repr(matrixlab._frobenius(view)) == repr(float(want))
+
+    def test_check_hermitian_matches_reference_at_the_tolerance(self):
+        rng = np.random.default_rng(82)
+        accepted = rejected = 0
+        for n in range(1, 7):
+            for _ in range(40):
+                h = random_hermitian(rng, n)
+                skew = 1j * random_hermitian(rng, n)
+                # ||m - m*|| = 2 t ||skew||, so t near this crosses the tolerance.
+                t = 0.5e-12 * fro(h) / fro(skew) * float(rng.uniform(0.9, 1.1))
+                m = h + t * skew
+                try:
+                    _reference_check_hermitian(m, "A")
+                    want = None
+                except NotHermitian as exc:
+                    want = str(exc)
+                try:
+                    adjoint = matrixlab._check_hermitian(m, "A")
+                    assert adjoint.tobytes() == m.conj().T.tobytes()
+                    got = None
+                except NotHermitian as exc:
+                    got = str(exc)
+                assert got == want
+                accepted += want is None
+                rejected += want is not None
+        assert accepted > 20 and rejected > 20
+
+    @staticmethod
+    def spectrum_outcomes(spectrum):
+        """(_psd_clip, _f_spectrum with the identity): the clamped floats
+        as reprs, so the sign of zero counts, or the error message."""
+        outcomes = []
+        for call in (matrixlab._psd_clip, lambda s: matrixlab._f_spectrum(lambda v: v, s)):
+            try:
+                outcomes.append([repr(v) for v in call(np.array(spectrum)).tolist()])
+            except DomainViolation as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @pytest.mark.parametrize("top", [0.25, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 7.5, 3e8])
+    def test_spectrum_rule_and_clamp_match_psd_clip(self, top):
+        top = float(top)
+        threshold = -1e-10 * max(1.0, top)
+        below, above = float(np.nextafter(threshold, -1.0)), float(np.nextafter(threshold, 0.0))
+        for low, accepted in ((threshold, True), (below, False), (above, True), (-0.0, True), (0.0, True)):
+            for middle in ((), (-0.0,), (0.0,), (low, -5e-324, -0.0, 0.0, 5e-324, top / 2.0)):
+                clip, one_pass = self.spectrum_outcomes([low, *middle, top])
+                assert one_pass == clip
+                assert isinstance(clip, list) == accepted
+                if accepted:
+                    assert "-0.0" not in clip
+                else:
+                    assert clip == f"matrix has negative eigenvalue {low!r}, not PSD"
+
+    def test_nan_spectrum_matches_psd_clip(self):
+        # np.maximum(1, nan) is nan, so no least eigenvalue is rejected
+        # against it, and np.clip keeps a nan.
+        for spectrum in ([-1e-3, math.nan], [math.nan, 1.0], [-0.0, math.nan, math.nan]):
+            clip, one_pass = self.spectrum_outcomes(spectrum)
+            assert one_pass == clip and isinstance(clip, list)
 
 
 def replay_shard(cfg, shard, trials):
