@@ -12,21 +12,30 @@ fixed widths b_k, log-spaced on [1e-8, 1e3], with the oscillation
 sampled at 3000 log-spaced points of [1e-4, 1e8] plus the limit at
 infinity.  In the masses v_k = w_k (1/2) sqrt(pi / b_k) this is a linear
 program, solved by HiGHS.  Only its cost depends on c, so a process
-builds the program once, on its first fit; each fit loads it into a new
-HiGHS instance with its own cost, so no solver state passes from one fit
-to the next.  Rows that another row implies are left out when the
-program is built: from x of about 5.96e4 on, every erf(sqrt(b_k) x)
-rounds to 1, so 807 samples and the limit at infinity share one row of
-coefficients, and two samples near 5.85e4 share another.  Among rows
-with equal coefficients, each side of the range keeps only its tightest
-bound, which leaves the feasible set as it is: the program has 4386
-rows, not 6002.  The result is bit for bit what
-`scipy.optimize.linprog(method="highs")` returns for the full program,
-with every row.  The fit is deterministic.  This module owns the
-table's path (`table_path`) and layout: `fit_table` gives its text, one
-{"c", "w", "b"} entry per node at JSON indent 1, and `load_witnesses`
-reads it.  Regenerate it with `commbounds fit-witnesses` (add `--out
-PATH` to write elsewhere, for instance to compare).
+builds the program once, on its first fit.  Rows that another row
+implies are left out when the program is built: from x of about 5.96e4
+on, every erf(sqrt(b_k) x) rounds to 1, so 807 samples and the limit at
+infinity share one row of coefficients, and two samples near 5.85e4
+share another.  Among rows with equal coefficients, each side of the
+range keeps only its tightest bound, which leaves the feasible set as it
+is: the program has 4386 rows, not 6002.
+
+The first fit also presolves the program once with HiGHS, which drops
+70 more rows and keeps every column.  Each fit then runs in two stages,
+each on a new HiGHS instance with presolve off, so no solver state
+passes from one fit to the next: it solves the reduced program at its
+c, then runs the full program from that basis, lifted.  These are the
+steps `scipy.optimize.linprog(method="highs")` takes within one solve,
+less the presolve it repeats each time.  At every node of FIT_NODES the
+result is bit for bit what linprog returns for the full program, with
+every row; elsewhere it can differ in the last digits or, rarely, be
+another optimal vertex (see `fit_witness`).  The fit is deterministic.
+
+This module owns the table's path (`table_path`) and layout: `fit_table`
+gives its text, one {"c", "w", "b"} entry per node at JSON indent 1, and
+`load_witnesses` reads it.  Regenerate it with `commbounds
+fit-witnesses` (add `--out PATH` to write elsewhere, for instance to
+compare).
 
 scipy is imported on first use.  Reading the table needs none of it;
 the first fit imports scipy.special's erf, scipy.sparse and the HiGHS
@@ -81,9 +90,9 @@ def _witness_lp():
     bounds (infinite ones as +-kHighsInf) in the form linprog builds.
     Only the cost depends on c, so a process builds this once, on its
     first fit.  scipy has no public API to load one program and solve it
-    with several costs; this uses `scipy.optimize._highspy._core`, the
-    binding linprog itself calls (scipy >= 1.15), and so depends on that
-    private module.
+    with several costs, or to presolve it once and restart from a basis;
+    this uses `scipy.optimize._highspy._core`, the binding linprog itself
+    calls (scipy >= 1.15), and so depends on that private module.
     """
     from scipy.optimize._highspy import _core as highs_core
     from scipy.sparse import csc_array
@@ -117,6 +126,84 @@ def _witness_lp():
     return lp
 
 
+def _rows(lp) -> np.ndarray:
+    """The constraint matrix of a HiGHS program, dense."""
+    from scipy.sparse import csc_array
+
+    a = lp.a_matrix_
+    return csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).toarray()
+
+
+def _highs(lp, c: float, presolve: str):
+    """A new HiGHS instance holding lp at the cost of c, or None if HiGHS refuses it.
+
+    It gets the options linprog(method="highs") passes by default (no
+    output, dual simplex), with presolve as given.
+    """
+    from scipy.optimize._highspy import _core as highs_core
+
+    options = (
+        ("output_flag", False),
+        ("log_to_console", False),
+        ("highs_debug_level", int(highs_core.HighsDebugLevel.kHighsDebugLevelNone)),
+        ("presolve", presolve),
+        ("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
+    )
+    cost = np.concatenate((c / _HALF_MASS, [1.0, -1.0]))
+    highs = highs_core._Highs()
+    statuses = [highs.setOptionValue(option, value) for option, value in options]
+    statuses += [
+        highs.passModel(lp),
+        highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost),
+    ]
+    return None if highs_core.HighsStatus.kError in statuses else highs
+
+
+@functools.cache
+def _reduced_lp():
+    """HiGHS's presolved witness program, and the `_witness_lp` row each of its rows is.
+
+    linprog(method="highs") presolves the program in each solve, and
+    the presolve does the same each time: it drops 70 rows that are
+    nearly parallel to a kept one, tightens the bounds of 3 kept rows
+    and keeps every column, at every cost tested (the tests compare
+    three nodes).  So a process presolves once, at c = 1, on its first
+    fit.  Each kept row is found in `_witness_lp` by its exact
+    coefficients, which are distinct there.
+    """
+    from scipy.optimize._highspy import _core as highs_core
+
+    full = _witness_lp()
+    highs = _highs(full, 1.0, "on")
+    if (
+        highs is None
+        or highs.presolve() == highs_core.HighsStatus.kError
+        or highs.getModelPresolveStatus() != highs_core.HighsPresolveStatus.kReduced
+    ):
+        raise NumericalFailure("HiGHS did not presolve the witness program")
+    reduced = highs.getPresolvedLp()
+    index = {row.tobytes(): k for k, row in enumerate(_rows(full))}
+    return reduced, [index[row.tobytes()] for row in _rows(reduced)]
+
+
+def _refused(c: float) -> NumericalFailure:
+    return NumericalFailure(f"HiGHS did not accept the witness program at c = {c!r}")
+
+
+def _solve(lp, c: float, basis=None):
+    """Solve lp at the cost of c on a new HiGHS instance, from basis if one is given."""
+    from scipy.optimize._highspy import _core as highs_core
+
+    highs = _highs(lp, c, "off")
+    if highs is None or (basis is not None and highs.setBasis(basis) == highs_core.HighsStatus.kError):
+        raise _refused(c)
+    highs.run()
+    status = highs.getModelStatus()
+    if status != highs_core.HighsModelStatus.kOptimal:
+        raise NumericalFailure(f"witness fit at c = {c!r} failed: {highs.modelStatusToString(status)}")
+    return highs
+
+
 def fit_witness(c: float) -> MixtureParams:
     """Fit the mixture weights that minimize the sampled functional at c.
 
@@ -127,35 +214,37 @@ def fit_witness(c: float) -> MixtureParams:
     Widths whose fitted mass is not positive are dropped; c must be
     positive and finite, and small enough that some width is kept.
 
-    Each fit loads the shared program into a new HiGHS instance, so no
-    basis, scaling or presolve state carries from one fit to the next,
-    and the shared program is never written after it is built.
+    The fit takes the steps linprog(method="highs") takes inside one
+    solve, less the presolve, which `_reduced_lp` did once: it solves
+    the reduced program at c, lifts that optimal basis to the full
+    program (kept rows and every column keep their status, the dropped
+    rows are basic), runs the full program from it and reads the
+    weights there.  At every node of FIT_NODES the result is bit for
+    bit linprog's on the full program (CI regenerates the table and
+    compares it byte for byte).  Elsewhere it need not be: at c =
+    0.11661 and 0.01 the weights differ from linprog's by up to 8e-11
+    relative, and at c = 0.005 the restart takes a few hundred
+    iterations to another vertex, whose sampled objective is 6e-6
+    relative (3e-8) above linprog's.  Each stage
+    runs on a new HiGHS instance, so no basis, scaling or presolve state
+    carries from one fit to the next, and the shared programs are never
+    written after they are built.  A stage that HiGHS refuses, or that
+    does not end optimal, raises NumericalFailure naming c.
     """
     if not (math.isfinite(c) and c > 0.0):
         raise DomainViolation(f"fit_witness needs c positive and finite, got {c!r}")
     from scipy.optimize._highspy import _core as highs_core
 
-    # The options linprog(method="highs") passes by default: no output, presolve, dual simplex.
-    options = (
-        ("output_flag", False),
-        ("log_to_console", False),
-        ("highs_debug_level", int(highs_core.HighsDebugLevel.kHighsDebugLevelNone)),
-        ("presolve", "on"),
-        ("simplex_strategy", int(highs_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual)),
-    )
-    cost = np.concatenate((c / _HALF_MASS, [1.0, -1.0]))
-    highs = highs_core._Highs()
-    statuses = [highs.setOptionValue(option, value) for option, value in options]
-    statuses += [
-        highs.passModel(_witness_lp()),
-        highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost),
-    ]
-    if highs_core.HighsStatus.kError in statuses:
-        raise NumericalFailure(f"HiGHS did not accept the witness program at c = {c!r}")
-    highs.run()
-    status = highs.getModelStatus()
-    if status != highs_core.HighsModelStatus.kOptimal:
-        raise NumericalFailure(f"witness fit at c = {c!r} failed: {highs.modelStatusToString(status)}")
+    try:
+        reduced, rows = _reduced_lp()
+    except NumericalFailure as failure:
+        raise _refused(c) from failure
+    basis = _solve(reduced, c).getBasis()
+    status = [highs_core.HighsBasisStatus.kBasic] * _witness_lp().num_row_
+    for row, kept in zip(rows, basis.row_status):
+        status[row] = kept
+    basis.row_status = status
+    highs = _solve(_witness_lp(), c, basis)
     mass = np.array(highs.getSolution().col_value[: WIDTHS.size])
     keep = mass > 0.0
     if not keep.any():

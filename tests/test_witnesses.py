@@ -13,6 +13,7 @@ import pytest
 import scipy.optimize
 import scipy.sparse
 import scipy.special
+from scipy.optimize._highspy import _core as highs_core
 
 from commbounds import approx
 from commbounds.approx import (
@@ -33,6 +34,7 @@ from commbounds.cli import main
 from commbounds.witnesses import (
     FIT_NODES,
     WIDTHS,
+    _reduced_lp,
     _witness_lp,
     fit_witness,
     load_witnesses,
@@ -189,6 +191,33 @@ def full_program():
     xs = np.geomspace(1e-4, 1e8, 3000)
     rows = np.vstack((scipy.special.erf(np.outer(xs, np.sqrt(WIDTHS))), np.ones(WIDTHS.size)))
     return rows, np.append(xs / (xs + 1.0), 1.0)
+
+
+def dense_matrix(lp):
+    """The constraint matrix of a HiGHS program, as a dense array."""
+    a = lp.a_matrix_
+    return scipy.sparse.csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).toarray()
+
+
+def highs_presolve(c):
+    """HiGHS's own presolve of the witness program at c, as linprog(method="highs") runs it."""
+    highs = highs_core._Highs()
+    highs.setOptionValue("output_flag", False)
+    lp = _witness_lp()
+    cost = np.append(c / (0.5 * np.sqrt(np.pi / WIDTHS)), [1.0, -1.0])
+    assert highs.passModel(lp) == highs_core.HighsStatus.kOk
+    assert highs.changeColsCost(cost.size, np.arange(cost.size, dtype=np.int32), cost) == highs_core.HighsStatus.kOk
+    assert highs.presolve() == highs_core.HighsStatus.kOk
+    assert highs.getModelPresolveStatus() == highs_core.HighsPresolveStatus.kReduced
+    return highs.getPresolvedLp()
+
+
+def sampled_objective(params, c):
+    """The program's objective at a witness: the sampled range of j, with j(0) = 0, plus c * L."""
+    rows, target = full_program()
+    b = np.asarray(params.b)
+    j = target - rows[:, np.searchsorted(WIDTHS, b)] @ (np.asarray(params.w) * 0.5 * np.sqrt(np.pi / b))
+    return max(j.max(), 0.0) - min(j.min(), 0.0) + c * math.fsum(params.w)
 
 
 def linprog_witness(c):
@@ -376,6 +405,34 @@ class TestFitWitness:
         finally:
             sys.setswitchinterval(interval)
         assert fits == [WITNESSES[k] for k in order]
+
+    def test_reduced_program_is_highs_presolve(self):
+        # The fits solve the program HiGHS's presolve gives, built once at
+        # c = 1; presolve gives that same program at every cost tried.
+        reduced, rows = _reduced_lp()
+        matrix = dense_matrix(reduced)
+        assert reduced.num_col_ == _witness_lp().num_col_
+        assert len(rows) == reduced.num_row_ < _witness_lp().num_row_
+        assert (np.diff(rows) > 0).all()
+        assert (matrix == dense_matrix(_witness_lp())[rows]).all()
+        for k in (0, 60, 119):
+            presolved = highs_presolve(float(FIT_NODES[k]))
+            assert (dense_matrix(presolved) == matrix).all(), k
+            for bound in ("col_lower_", "col_upper_", "row_lower_", "row_upper_"):
+                assert np.array_equal(getattr(presolved, bound), getattr(reduced, bound)), (k, bound)
+
+    # Away from FIT_NODES the restart may end at another optimal vertex
+    # than linprog's; the objectives must still agree to this relative
+    # tolerance, fixed before the test was first run.
+    OFF_NODE_RTOL = 1e-4
+
+    @pytest.mark.parametrize("c", [0.11661, 0.01, 0.005])
+    def test_fits_off_the_nodes_are_as_good_as_linprog(self, c):
+        fit = fit_witness(c)  # it returns only when both HiGHS stages end optimal
+        expected = linprog_witness(c)
+        assert sampled_objective(fit, c) == pytest.approx(sampled_objective(expected, c), rel=self.OFF_NODE_RTOL)
+        mine, theirs = certify_mixture(fit), certify_mixture(expected)
+        assert mine.osc + c * mine.L == pytest.approx(theirs.osc + c * theirs.L, rel=self.OFF_NODE_RTOL)
 
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_c_must_be_positive_and_finite(self, c):
