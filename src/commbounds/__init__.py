@@ -45,12 +45,10 @@ from commbounds.formulas import (
     gamma_pedersen,
     gamma_sin,
     gamma_tangent,
-    lv_threshold,
     optimize_pq_f1,
     pq_f1_bound,
     pq_sqrt_bound,
     scaled_cayley_Cc,
-    shift_bound_e,
     shift_constant,
     simple_Ct,
     trivial_constant,
@@ -64,15 +62,10 @@ from commbounds.matrixlab import (
     SpectralRadiusTooLarge,
     ZeroDenominator,
     counterexample_report,
-    doubling_embed,
-    gen_commutator,
     hermitian_eig,
-    matrix_function,
     monte_carlo_campaign,
     singular_values,
     ui_norm,
-    unitary_exp,
-    verify_abs_bounds,
     verify_conjecture_ratio,
     verify_exp_equivalence,
     verify_jensen,
@@ -133,7 +126,6 @@ __all__ = [
     "corner_small",
     "counterexample_report",
     "csc1",
-    "doubling_embed",
     "erf_min_bound",
     "f1",
     "gamma_boyadzhiev",
@@ -142,12 +134,9 @@ __all__ = [
     "gamma_pedersen",
     "gamma_sin",
     "gamma_tangent",
-    "gen_commutator",
     "global_constant",
     "hermitian_eig",
     "hull_constant",
-    "lv_threshold",
-    "matrix_function",
     "monte_carlo_campaign",
     "optimize_grid",
     "optimize_pq_f1",
@@ -156,15 +145,12 @@ __all__ = [
     "pq_f1_bound",
     "pq_sqrt_bound",
     "scaled_cayley_Cc",
-    "shift_bound_e",
     "shift_constant",
     "simple_Ct",
     "singular_values",
     "sqrt_constant",
     "trivial_constant",
     "ui_norm",
-    "unitary_exp",
-    "verify_abs_bounds",
     "verify_conjecture_ratio",
     "verify_exp_equivalence",
     "verify_jensen",

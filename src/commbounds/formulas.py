@@ -4,8 +4,8 @@ Everything here is an explicit formula or a one-dimensional/
 two-dimensional minimization of one.  The gamma_* functions bound the
 best constant for f(x) = x^r at a given r; the pq_* functions evaluate
 the piecewise-quadratic antiderivative construction for f(x) = sqrt(x)
-and f(x) = x/(x+1); of the remaining envelope bounds and thresholds, the
-certificate stitcher reuses csc1 and scaled_cayley_Cc.
+and f(x) = x/(x+1); of the remaining envelope bounds, the certificate
+stitcher reuses csc1 and scaled_cayley_Cc.
 
 The f1 search polls the private kernel _pq_f1 on bare floats: it checks
 the knot and slope offset as PiecewiseQuadParams does, but takes c as
@@ -31,14 +31,12 @@ __all__ = [
     "gamma_sin",
     "gamma_tangent",
     "gamma_tangent_objective",
-    "lv_threshold",
     "optimize_pq_f1",
     "pq_f1_bound",
     "pq_f1_t_star",
     "pq_sqrt_bound",
     "pq_sqrt_t_star",
     "scaled_cayley_Cc",
-    "shift_bound_e",
     "shift_constant",
     "simple_Ct",
     "trivial_constant",
@@ -85,16 +83,9 @@ def trivial_constant() -> float:
     return 2.0
 
 
-def shift_bound_e(c: float) -> float:
-    """Shift-construction envelope e(c) = c for c < 1/2, else 1 - 1/(4c)."""
-    c = _check_positive(c, "c")
-    if c < 0.5:
-        return c
-    return 1.0 - 1.0 / (4.0 * c)
-
-
 def shift_constant() -> float:
-    """sup_c e(c)/f1(c) = 25/16, attained at c = 2/3."""
+    """sup_c e(c)/f1(c) = 25/16, attained at c = 2/3, for the shift
+    construction's envelope e(c) = c for c < 1/2, else 1 - 1/(4c)."""
     return 25.0 / 16.0
 
 
@@ -262,19 +253,3 @@ def scaled_cayley_Cc(c: float) -> float:
     c = _check_positive(c, "c")
     return (c + 1.0) / (0.5 + math.sqrt(0.25 + c * c))
 
-
-def lv_threshold(family: str, param: float, x: float) -> float:
-    """Threshold below which the lifted inequality is not asserted.
-
-    family "ft" uses f_t (param t > 0): sqrt(t (x + t)) - t.
-    family "power" uses x^r (param r in (0, 1)): r^(1/(1-r)) x.
-    Always strictly less than x.
-    """
-    x = _check_positive(x, "x")
-    if family == "ft":
-        t = _check_positive(param, "t")
-        return math.sqrt(t * (x + t)) - t
-    if family == "power":
-        r = _check_unit_interval(param)
-        return r ** (1.0 / (1.0 - r)) * x
-    raise DomainViolation(f"unknown family {family!r}, expected 'ft' or 'power'")

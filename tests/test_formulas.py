@@ -17,14 +17,12 @@ from commbounds.formulas import (
     gamma_sin,
     gamma_tangent,
     gamma_tangent_objective,
-    lv_threshold,
     optimize_pq_f1,
     pq_f1_bound,
     pq_f1_t_star,
     pq_sqrt_bound,
     pq_sqrt_t_star,
     scaled_cayley_Cc,
-    shift_bound_e,
     shift_constant,
     simple_Ct,
     trivial_constant,
@@ -41,28 +39,16 @@ class TestTrivialAndShift:
         assert min(3.0, 1.0) / f1(3.0) == pytest.approx(4.0 / 3.0, abs=1e-15)
         assert min(3.0, 1.0) / f1(3.0) <= 2.0
 
-    def test_shift_bound_branches(self):
-        assert shift_bound_e(0.25) == 0.25
-        assert shift_bound_e(2.0 / 3.0) == pytest.approx(5.0 / 8.0, abs=1e-15)
-        # Branch agreement at c = 1/2: both formulas give 1/2.
-        assert shift_bound_e(0.5) == 0.5
-        assert shift_bound_e(0.5 - 1e-12) == pytest.approx(0.5, abs=1e-11)
-
     def test_shift_constant_value(self):
+        # The shift envelope is e(c) = c for c < 1/2, else 1 - 1/(4c).
         assert shift_constant() == 25.0 / 16.0
-        assert shift_bound_e(2.0 / 3.0) / f1(2.0 / 3.0) == pytest.approx(1.5625, abs=1e-12)
+        assert (1.0 - 1.0 / (4.0 * (2.0 / 3.0))) / f1(2.0 / 3.0) == pytest.approx(1.5625, abs=1e-12)
 
     def test_shift_constant_is_supremum(self):
-        grid = np.arange(1e-4, 5.0, 1e-4)
-        sup = max(shift_bound_e(float(c)) / f1(float(c)) for c in grid)
+        grid = (float(c) for c in np.arange(1e-4, 5.0, 1e-4))
+        sup = max((c if c < 0.5 else 1.0 - 1.0 / (4.0 * c)) / f1(c) for c in grid)
         assert abs(sup - 1.5625) < 1e-6
         assert sup <= shift_constant()
-
-    def test_domain(self):
-        with pytest.raises(DomainViolation):
-            shift_bound_e(0.0)
-        with pytest.raises(DomainViolation):
-            shift_bound_e(-1.0)
 
 
 class TestGammaFormulas:
@@ -404,29 +390,3 @@ class TestEnvelopes:
         for c in np.geomspace(1e-3, 100.0, 200):
             assert scaled_cayley_Cc(float(c)) <= simple_Ct(float(c))
 
-
-class TestLvThreshold:
-    def test_power_half(self):
-        assert lv_threshold("power", 0.5, 1.0) == 0.25
-
-    def test_ft_closed_form(self):
-        assert lv_threshold("ft", 1.0, 3.0) == 1.0
-        assert lv_threshold("ft", 4.0, 5.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_threshold_below_x(self):
-        for x in np.geomspace(0.01, 100.0, 40):
-            x = float(x)
-            for t in (0.1, 1.0, 10.0):
-                assert lv_threshold("ft", t, x) < x
-            for r in (0.1, 0.5, 0.9):
-                assert lv_threshold("power", r, x) < x
-
-    def test_domain(self):
-        with pytest.raises(DomainViolation):
-            lv_threshold("nope", 1.0, 1.0)
-        with pytest.raises(DomainViolation):
-            lv_threshold("ft", -1.0, 1.0)
-        with pytest.raises(DomainViolation):
-            lv_threshold("power", 1.5, 1.0)
-        with pytest.raises(DomainViolation):
-            lv_threshold("power", 0.5, 0.0)
