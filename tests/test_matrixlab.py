@@ -4,8 +4,9 @@ The module computes spectra with numpy.linalg, so the oracles for
 eigenvalues, singular values and the conjecture ratio use no eigensolver
 or an independent one: the closed-form 2x2 eigenvalues, mpmath's eighe
 and svd_c at 30 digits, the resolvent identity for f1 (linear solves
-only), and scipy.linalg.eigh for f(A) and f(B) formed as matrices.  The
-comparisons with numpy.linalg stay as consistency checks.  The batched campaign is checked
+only), scipy.linalg.eigh for f(A) and f(B) formed as matrices, and
+scipy.linalg.expm for the unitary exponential.  The comparisons with
+numpy.linalg stay as consistency checks.  The batched campaign is checked
 trial by trial against a replay of its draws through
 verify_conjecture_ratio.  The inequality checkers are exercised on random
 instances and on the fixed counterexample data.
@@ -417,6 +418,150 @@ class TestNormKind:
                     continue
                 assert ui_norm(x, kind) <= ui_norm(y, kind) + 1e-9
         assert checked >= 50
+
+
+def spectral_f(a, f):
+    """f(A) = V diag(f(lambda)) V*, from hermitian_eig's eigenbasis and
+    _f_spectrum's checked, clamped map: the pieces verify_conjecture_ratio
+    applies to A and B, which it never forms f(A) from."""
+    eigenvalues, vectors = hermitian_eig(a)
+    return (vectors * matrixlab._f_spectrum(f, eigenvalues)) @ vectors.conj().T
+
+
+class TestMatrixFunction:
+    def test_identity_function(self):
+        rng = np.random.default_rng(31)
+        a = random_psd(rng, 5)
+        out = spectral_f(a, lambda x: x)
+        assert fro(out - a) <= 1e-10 * fro(a)
+
+    def test_sqrt_on_diagonal(self):
+        out = spectral_f(np.diag([4.0, 9.0]), math.sqrt)
+        assert fro(out - np.diag([2.0, 3.0])) <= 1e-12
+
+    def test_spectral_mapping(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            a = random_psd(rng, n)
+            out = spectral_f(a, f1)
+            mapped = np.sort([f1(v) for v in np.linalg.eigvalsh(a).clip(0.0)])
+            got = np.sort(np.linalg.eigvalsh(out))
+            assert np.max(np.abs(got - mapped)) <= 1e-9
+
+    def test_f1_resolvent_identity(self):
+        # f1(A)X - Xf1(B) = (A+1)^-1 (AX - XB) (B+1)^-1, which needs only linear solves.
+        rng = np.random.default_rng(35)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            a = random_psd(rng, n)
+            b = random_psd(rng, n)
+            x = random_complex(rng, n)
+            eye = np.eye(n)
+            left = np.linalg.solve(a + eye, a @ x - x @ b)
+            exact = np.linalg.solve((b + eye).T, left.T).T
+            mine = spectral_f(a, f1) @ x - x @ spectral_f(b, f1)
+            assert fro(mine - exact) <= 1e-13 * max(1.0, fro(a), fro(b)) * fro(x)
+
+    def test_commutes_with_argument(self):
+        rng = np.random.default_rng(33)
+        a = random_psd(rng, 6)
+        out = spectral_f(a, math.sqrt)
+        assert fro(out @ a - a @ out) <= 1e-9 * max(1.0, fro(a))
+
+    def test_output_hermitian(self):
+        rng = np.random.default_rng(34)
+        a = random_psd(rng, 5)
+        out = spectral_f(a, math.sqrt)
+        assert fro(out - out.conj().T) <= 1e-12 * max(1.0, fro(out))
+
+    def test_clamps_roundoff_negatives(self):
+        out = spectral_f(np.diag([-1e-12, 1.0]), math.sqrt)
+        assert out[0, 0].real == pytest.approx(0.0, abs=1e-12)
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(DomainViolation):
+            spectral_f(np.diag([-0.5, 1.0]), math.sqrt)
+        # The roundoff tolerance is 1e-10 times the largest eigenvalue
+        # (here -1e-4), so -1e-3 is a genuine negative eigenvalue.
+        with pytest.raises(DomainViolation):
+            spectral_f(np.diag([-1e-3, 1e6]), math.sqrt)
+
+    def test_accepts_scaled_rank_deficient_psd(self):
+        # Rank-2 4x4 PSD matrices scaled to norm 1e6: eigh puts their zero
+        # eigenvalues near -1e-10 in absolute terms, which is roundoff at
+        # this scale.
+        rng = np.random.default_rng(36)
+        for _ in range(50):
+            m = random_complex(rng, 4, 2)
+            a = m @ m.conj().T
+            a = 1e6 * a / np.linalg.eigvalsh(a)[-1]
+            out = spectral_f(a, math.sqrt)
+            assert fro(out @ out - a) <= 1e-9 * fro(a)
+
+
+def exp_i(x):
+    """e^{iX} as verify_exp_equivalence forms it, from X's spectrum."""
+    return matrixlab._unitary(*hermitian_eig(x))
+
+
+class TestUnitaryExp:
+    def test_matches_scipy_expm(self):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            n = int(rng.integers(1, 7))
+            x = random_hermitian(rng, n)
+            mine = exp_i(x)
+            ref = scipy.linalg.expm(1j * x)
+            assert fro(mine - ref) <= 1e-9 * max(1.0, fro(ref))
+
+    def test_result_unitary(self):
+        rng = np.random.default_rng(42)
+        u = exp_i(random_hermitian(rng, 6))
+        assert fro(u.conj().T @ u - np.eye(6)) <= 1e-10
+
+    def test_zero_gives_identity(self):
+        assert fro(exp_i(np.zeros((3, 3))) - np.eye(3)) <= 1e-14
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NotHermitian):
+            verify_exp_equivalence(np.array([[0.0, 1.0], [0.5, 0.0]]), np.eye(2), NormKind.operator())
+
+
+class TestGenCommutator:
+    """AX - XB, which verify_conjecture_ratio forms from A, B and X as given
+    for its denominator, against the numerator it takes in the eigenbasis."""
+
+    def test_identity_with_equal_sides_vanishes(self):
+        rng = np.random.default_rng(51)
+        a = random_psd(rng, 4)
+        for kind in ALL_KINDS_3:
+            assert verify_conjecture_ratio(a, a, np.eye(4), f1, kind) == 0.0
+
+    def test_diagonal_conjugation_entries(self):
+        # AX - XA has entries (4 - 1) 5 and (1 - 4) 7, and sqrt(A)X - X sqrt(A)
+        # has (2 - 1) 5 and (1 - 2) 7: singular values 3 (7, 5) and (7, 5),
+        # as X has, so every norm gives 1 / sqrt(3).
+        a = np.diag([4.0, 1.0])
+        x = np.array([[0.0, 5.0], [7.0, 0.0]])
+        for kind in (NormKind.operator(), NormKind.ky_fan(2), NormKind.schatten(1.5), NormKind.trace()):
+            ratio = verify_conjecture_ratio(a, a, x, math.sqrt, kind)
+            assert ratio == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-14)
+
+    def test_matches_direct_arithmetic(self):
+        # With f(t) = t the numerator is U*(AX - XB)V and the denominator
+        # ||AX - XB||, so the ratio is 1 up to roundoff, X rectangular too.
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            a = random_psd(rng, 3)
+            b = random_psd(rng, 5)
+            x = random_complex(rng, 3, 5)
+            for kind in ALL_KINDS_3:
+                assert verify_conjecture_ratio(a, b, x, lambda t: t, kind) == pytest.approx(1.0, rel=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DomainViolation):
+            verify_conjecture_ratio(np.eye(3), np.eye(2), np.eye(3), f1, NormKind.operator())
 
 
 def reference_ratio(a, b, x, f, kind):
@@ -884,6 +1029,30 @@ class TestOnePassMatchesReference:
         expected = _outcome(reference_conjecture_ratio, args["A"], args["B"], args["X"], f1, _OP)
         assert isinstance(expected, tuple)
         assert _outcome(verify_conjecture_ratio, args["A"], args["B"], args["X"], f1, _OP) == expected
+
+    def test_matrix_function_bit_for_bit(self):
+        rng = np.random.default_rng(80)
+        for n in range(1, 7):
+            for _ in range(5):
+                a = random_psd(rng, n)
+                values = np.linalg.eigvalsh(a)
+                edge = a - (values[0] + 1e-10 * max(1.0, values[-1]) * float(rng.uniform(0.5, 1.5))) * np.eye(n)
+                for m in (a, edge):
+                    for f in (f1, math.sqrt):
+                        try:
+                            got = spectral_f(m, f)
+                        except DomainViolation as exc:
+                            got = str(exc)
+                        try:
+                            eigenvalues, vectors = _reference_hermitian_eig(m)
+                            clipped = _reference_psd_clip(eigenvalues)
+                            want = (vectors * _reference_f_values(f, clipped)) @ vectors.conj().T
+                        except DomainViolation as exc:
+                            want = str(exc)
+                        if isinstance(want, str):
+                            assert got == want
+                        else:
+                            assert got.tobytes() == want.tobytes()
 
 
 class TestOnePassPieces:
