@@ -162,9 +162,12 @@ class NormKind:
             raise BadParameter(f"unknown norm tag {self.tag!r}")
         if self.tag == "kyfan":
             # bool is an int, but str() would write kyfan:True, which
-            # parse() does not read back.
-            if isinstance(self.k, bool) or not isinstance(self.k, int) or self.k < 1:
-                raise BadParameter(f"Ky Fan k must be a positive integer, got {self.k}")
+            # parse() does not read back; a numpy integer is stored as int.
+            if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
+                raise BadParameter(f"Ky Fan k must be an integer, got {type(self.k).__name__} {self.k!r}")
+            if self.k < 1:
+                raise BadParameter(f"Ky Fan k must be positive, got {self.k}")
+            object.__setattr__(self, "k", int(self.k))
         elif self.k is not None:
             raise BadParameter(f"k only applies to kyfan, got tag {self.tag!r}")
         if self.tag == "schatten":
@@ -618,54 +621,39 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
     With threads > 1 the shards run in a process pool with at most one
     worker per shard.
     """
-    sizes = []
-    remaining = cfg.trials
-    while remaining > 0:
-        sizes.append(min(_SHARD_SIZE, remaining))
-        remaining -= _SHARD_SIZE
-    jobs = [(cfg, idx, size) for idx, size in enumerate(sizes)]
+    starts = range(0, cfg.trials, _SHARD_SIZE)
+    jobs = [(cfg, idx, min(_SHARD_SIZE, cfg.trials - start)) for idx, start in enumerate(starts)]
     if cfg.threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.threads, len(jobs))) as pool:
             results = list(pool.map(_campaign_shard, jobs, chunksize=1))
     else:
         results = [_campaign_shard(job) for job in jobs]
 
-    skipped = 0
-    winner = None  # (ratio, shard, trial, A, B, X)
-    for res in results:
-        skipped += res["skipped"]
-        best = res["best"]
-        if best is not None:
-            candidate = (best[0], res["shard"], best[1], best[2], best[3], best[4])
-            if winner is None or candidate[0] > winner[0]:
-                winner = candidate
-
     all_ratios = np.concatenate([res["ratios"] for res in results])
     max_ratio = float(all_ratios.max(initial=0.0))
     top = max(1.05, max_ratio * (1.0 + 1e-12))
     counts, _ = np.histogram(all_ratios, bins=50, range=(0.0, top))
+    # max keeps the first of equal ratios, so the earliest shard wins a tie.
+    found = (res for res in results if res["best"] is not None)
+    winner = max(found, key=lambda res: res["best"][0], default=None)
     argmax = None
     if winner is not None:
+        ratio, trial, a, b, x = winner["best"]
         argmax = {
-            "ratio": winner[0],
-            "shard": winner[1],
-            "trial": winner[2],
-            "A": _matrix_payload(winner[3]),
-            "B": _matrix_payload(winner[4]),
-            "X": _matrix_payload(winner[5]),
+            "ratio": ratio,
+            "shard": winner["shard"],
+            "trial": trial,
+            "A": _matrix_payload(a),
+            "B": _matrix_payload(b),
+            "X": _matrix_payload(x),
         }
+    settings = {**asdict(cfg), "norm": str(cfg.norm)}
+    del settings["threads"]
     return CampaignReport(
-        seed=cfg.seed,
-        trials=cfg.trials,
-        norm=str(cfg.norm),
-        f=cfg.f,
-        n_max=cfg.n_max,
-        a_equals_b=cfg.a_equals_b,
-        unit_norm_a=cfg.unit_norm_a,
-        min_commutator=cfg.min_commutator,
+        **settings,
         max_ratio=max_ratio,
         argmax=argmax,
         histogram={"edges": list(_histogram_edges(top)), "counts": [int(c) for c in counts]},
         evaluated=int(all_ratios.size),
-        skipped=skipped,
+        skipped=sum(res["skipped"] for res in results),
     )

@@ -13,17 +13,13 @@ poll, first or repeated, from that spread; a node's constant is the
 score of its winning parameters, which is erf_min_bound's value there
 bit for bit.
 
-`certify_grid` is the search-free certifier: it certifies the committed
-Gaussian-mixture witnesses in one batched `certify_mixtures` pass, and
-every node takes their lower envelope and the resolvent bound 1 + c.
-Each witness is a line osc + t L, so the envelope comes from the exact
-lower hull of those lines: a node looks only at the witnesses within a
-relative 1e-9 of the hull at either end of its piece, and evaluates the
-upward-rounded node_value only on those whose plain osc + c*L is within
-64 ulps (relative) of the node's least.  Rounding moves neither quantity
-far enough for any other witness to win or tie (the argument is in
-certify_grid's docstring).  `hull_constant` bounds the node constant at
-every c > 0 from the same hull, with no grid.
+`certify_grid` and `hull_constant` read one envelope (`_envelope`): the
+lines osc + t L of the committed Gaussian-mixture witnesses and of two
+closed-form approximants, the resolvent bound 1 + c and g = 0, and their
+exact lower hull.  `certify_grid` evaluates the upward-rounded
+node_value at a node only on the lines near the hull there (the argument
+is in its docstring); `hull_constant` bounds the node constant at every
+c > 0, with no grid.
 """
 
 from __future__ import annotations
@@ -83,7 +79,8 @@ class BoundPoint:
     """One certified grid node: location c, constant C_k, and its parameters.
 
     params is the approximant that certifies C_k: a single Gaussian, a
-    Gaussian mixture, or None when C_k is the resolvent bound 1 + c.
+    Gaussian mixture, or None for a closed-form line: the resolvent
+    bound 1 + c or g = 0.
     """
 
     c: float
@@ -251,55 +248,51 @@ def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:
 
 
 def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
-    """Certify every node with the committed Gaussian-mixture witnesses.
+    """Certify every node from the envelope of the witnesses and the closed-form lines.
 
-    The oscillation and amplitude of a witness do not depend on c, so
-    each call certifies the whole table once, in one certify_mixtures
-    pass, and keeps nothing for the next call.  A node's constant is the
-    smallest node_value over the witnesses, the first witness winning a
-    tie, or the resolvent bound 1 + c (rounded upward) when that is
-    smaller.  The resolvent bound follows from
-    f1(A)X - X f1(B) = (A+1)^-1 (AX - XB) (B+1)^-1 and is reported with
-    params None.  Nodes are independent, so each constant does not
+    Each call certifies the witness table afresh (_envelope) and keeps
+    nothing for the next call.  A node's constant is the smallest
+    node_value over the envelope's lines, the first in index order
+    winning a tie, or the resolvent bound 1 + c rounded upward when that
+    is smaller; the resolvent line's own node_value is above that bound.
+    params is None when a closed-form line or the resolvent bound sets
+    the constant.  Nodes are independent, so each constant does not
     depend on the order of the grid; points come back in grid order.
 
-    node_value is evaluated only on the witnesses that can win a node.
+    node_value is evaluated only on the lines that can win a node.
     With E = osc + cL exact, the plain float h = osc + c*L is within a
     factor 1 +- eps of E, both terms being nonnegative, and node_value,
     five operations each rounded upward, lies between E (c+1)/c and
-    (1 + 8 eps) E (c+1)/c; osc is at least the certifier's margin, so the
-    absolute error of a subnormal c*L does not count.  A witness whose h
-    exceeds the node's least h by a factor above 1 + 64 eps (_PRUNE_ULPS
-    ulps) therefore has a node_value above the least one: it can neither
-    win nor tie.
+    (1 + 8 eps) E (c+1)/c; a witness's osc is at least the certifier's
+    margin and a closed-form line's c*L is exact, so the absolute error
+    of a subnormal c*L does not count.  A line whose h exceeds the
+    node's least h by a factor above 1 + 64 eps (_PRUNE_ULPS ulps)
+    therefore has a node_value above the least one: it can neither win
+    nor tie.
 
-    The witnesses that can pass that test are found from the lower hull
-    of the lines E_k(t) = osc_k + t L_k (_lower_hull).  A node c lies in
-    a piece [a, b] between float breakpoints, clipped to the grid's
-    range, with hull line E_p.  The node's least h is at most h_p, so a
-    witness that passes the test at c has E_k(c) <= (1 + 100 eps) E_p(c).
+    The lines that can pass that test are found from the lower hull of
+    the lines E_k(t) = osc_k + t L_k (_lower_hull).  A node c lies in a
+    piece [a, b] between float breakpoints, clipped to the grid's range,
+    with hull line E_p.  The node's least h is at most h_p, so a line
+    that passes the test at c has E_k(c) <= (1 + 100 eps) E_p(c).
     E_k - (1 + 100 eps) E_p is affine in t, so it is <= 0 at a or at b,
     and there the plain h_k is below the plain h_p times 1 + 1e-9
-    (_HULL_SLACK).  The witnesses within that slack of E_p at either end
-    of the piece, its candidates, therefore hold every witness that
-    passes the test at any node of the piece, however the breakpoints
-    are rounded; that E_p is the lowest line there only keeps them few.
-    Their least h is the node's least h, the test keeps the same
-    witnesses, and node_value and argmin over the candidates, in index
-    order, pick the witness that they pick over the whole table.  When
-    even the least node_value overflows to inf, every one does, and the
-    node takes the first witness, as the argmin over the table would.
+    (_HULL_SLACK).  The lines within that slack of E_p at either end of
+    the piece, its candidates, therefore hold every line that passes the
+    test at any node of the piece, however the breakpoints are rounded;
+    that E_p is the lowest line there only keeps them few.  Their least
+    h is the node's least h, the test keeps the same lines, and
+    node_value and argmin over the candidates, in index order, pick the
+    line that they pick over all of them.  When even the least node_value
+    overflows to inf, every one does, and the node takes the first
+    witness, as the argmin over all lines would.
     """
     cs = np.array([float(c) for c in grid])
     if not np.all(np.isfinite(cs) & (cs > 0.0)):
         raise DomainViolation("grid values must be positive and finite")
     if cs.size == 0:
         return []
-    witnesses = load_witnesses()
-    certificates = certify_mixtures(witnesses)
-    osc = np.array([cert.osc for cert in certificates])
-    amplitude = np.array([cert.L for cert in certificates])
-    lines, breaks = _lower_hull(osc, amplitude)
+    witnesses, osc, amplitude, lines, breaks = _envelope()
     ends = np.clip(np.concatenate(([cs.min()], breaks, [cs.max()])), cs.min(), cs.max())
     h = np.multiply.outer(ends, amplitude)
     h += osc
@@ -308,11 +301,14 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
         h[1:] <= h[pieces + 1, lines, None] * (1.0 + _HULL_SLACK)
     )
     # Each piece's candidates in index order, the last one repeated up to
-    # the largest count, so that every node gets a row of the same width.
+    # the largest count of a piece that holds a node (a piece beyond the
+    # grid, clipped to its end, can hold every line), so that every node
+    # gets a row of the same width.
     counts = near.sum(axis=1)
-    slots = np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    piece = np.searchsorted(breaks, cs)
+    slots = np.minimum(np.arange(counts[piece].max()), counts[:, None] - 1)
     table = np.nonzero(near)[1][(np.cumsum(counts) - counts)[:, None] + slots]
-    candidates = table[np.searchsorted(breaks, cs)]
+    candidates = table[piece]
     h = cs[:, None] * amplitude[candidates]
     h += osc[candidates]
     kept = h <= h.min(axis=1, keepdims=True) * (1.0 + _PRUNE_ULPS * _EPS)
@@ -322,8 +318,9 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     envelope = values[rows, column]
     best = np.where(envelope < np.inf, candidates[rows, column], 0)
     resolvent = np.nextafter(cs + 1.0, np.inf)
+    params = [*witnesses, None, None]
     return [
-        _bound_point(c, r, None) if r < m else _bound_point(c, m, witnesses[k])
+        _bound_point(c, r, None) if r < m else _bound_point(c, m, params[k])
         for c, k, m, r in zip(cs.tolist(), best.tolist(), envelope.tolist(), resolvent.tolist())
     ]
 
@@ -332,8 +329,8 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
 class HullConstant:
     """A certified bound on the node constant at every c > 0, and where it binds.
 
-    C is the bound; c is the breakpoint of the witness table's lower hull
-    at which it is reached, and witness the index in the table of the
+    C is the bound; c is the breakpoint of the envelope's lower hull at
+    which it is reached, and witness the index in the table of the
     line that gives it there (None for the resolvent or the trivial line).
     """
 
@@ -343,14 +340,11 @@ class HullConstant:
 
 
 def hull_constant() -> HullConstant:
-    """Bound the node constant over all c > 0 from the witness table's lower hull, with no grid.
+    """Bound the node constant over all c > 0 from the envelope's lower hull, with no grid.
 
-    Each certified witness gives the line E_k(t) = osc_k + t L_k, and the
-    constant at t is at most E_k(t) (1 + t) / t for every k.  Two lines
-    join them: the resolvent line t (osc 0, L 1, the bound 1 + t) and the
-    trivial line 1 (g = 0, osc 1, L 0).  Take their lower hull
-    (_lower_hull) with float breakpoints t_1 <= ... <= t_n, and bound
-    each piece [t_(i-1), t_i] by its own line.  Any line bounds the
+    Each line of _envelope bounds the node constant at t by
+    (osc + tL)(1 + t)/t.  Bound each piece [t_(i-1), t_i] between the
+    hull's float breakpoints by its own line.  Any line bounds the
     constant, so the pieces need not be exact: they cover (0, inf)
     because the breakpoints never decrease.  On a piece,
     (osc + tL)(1 + t)/t = osc/t + osc + L + tL is convex in t, so its sup
@@ -358,19 +352,30 @@ def hull_constant() -> HullConstant:
     the first piece is the resolvent line's, 1 + t, increasing, and the
     last is the trivial line's, (1 + t)/t, decreasing: both are largest
     at their finite end.  The bound is therefore the largest node_value,
-    rounded upward, of the two lines that meet at each breakpoint.  The
-    table is certified afresh on every call, as in certify_grid.
+    rounded upward, of the two lines that meet at each breakpoint.
     """
-    witnesses = load_witnesses()
-    certificates = certify_mixtures(witnesses)
-    osc = np.array([cert.osc for cert in certificates] + [0.0, 1.0])
-    amplitude = np.array([cert.L for cert in certificates] + [1.0, 0.0])
-    lines, breaks = _lower_hull(osc, amplitude)
+    witnesses, osc, amplitude, lines, breaks = _envelope()
     ends = np.stack((lines[:-1], lines[1:]))
     values = node_value(breaks, osc[ends], amplitude[ends])
     side, i = np.unravel_index(values.argmax(), values.shape)
     k = int(ends[side, i])
     return HullConstant(float(values[side, i]), float(breaks[i]), k if k < len(witnesses) else None)
+
+
+def _envelope() -> tuple[list[MixtureParams], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The certified lines osc + t L of the envelope, and their lower hull.
+
+    Returns (witnesses, osc, L, lines, breaks).  osc and L are the
+    witness table's, certified afresh in one certify_mixtures pass, in
+    table order, then the resolvent line (osc 0, L 1), whose bound 1 + c
+    follows from f1(A)X - X f1(B) = (A+1)^-1 (AX - XB) (B+1)^-1, and the
+    trivial line g = 0 (osc 1, L 0).  lines and breaks are _lower_hull's.
+    """
+    witnesses = load_witnesses()
+    certificates = certify_mixtures(witnesses)
+    osc = np.array([cert.osc for cert in certificates] + [0.0, 1.0])
+    amplitude = np.array([cert.L for cert in certificates] + [1.0, 0.0])
+    return (witnesses, osc, amplitude, *_lower_hull(osc, amplitude))
 
 
 # The slots' own setters, which the frozen __setattr__ does not guard.

@@ -86,9 +86,10 @@ class StitchedCertificate:
         """Plain-types payload; floats survive a JSON round trip exactly.
 
         A node's params entry is [a, b] for a single Gaussian, null for
-        the resolvent bound, and {"mixture": k} for a Gaussian mixture,
-        which is stored once as entry k of a trailing "mixtures" list
-        (present only when some node uses one).  The payload has no
+        a closed-form line (the resolvent 1 + c or g = 0), and
+        {"mixture": k} for a Gaussian mixture, which is stored once as
+        entry k of a trailing "mixtures" list (present only when some
+        node uses one).  The payload has no
         degenerate flag: a certificate holds no degenerate node.
         """
         mixtures: dict[MixtureParams, int] = {}

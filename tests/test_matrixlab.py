@@ -240,6 +240,11 @@ class TestNormKind:
             NormKind.ky_fan(0)
         with pytest.raises(BadParameter):
             NormKind.ky_fan(True)
+        for bad in (np.float64(3.0), np.bool_(True)):
+            with pytest.raises(BadParameter, match=type(bad).__name__):
+                NormKind.ky_fan(bad)
+        kind = NormKind.ky_fan(np.int64(3))
+        assert type(kind.k) is int and str(kind) == "kyfan:3" and kind == NormKind.ky_fan(3)
         with pytest.raises(BadParameter):
             NormKind("kyfan", k=None)
         with pytest.raises(BadParameter):

@@ -84,16 +84,21 @@ def reference_grid(grid):
 
 
 def full_envelope(cs, osc, L):
-    """certify_grid's envelope over every (node, witness) pair, as it was before pruning.
+    """certify_grid's envelope over every (node, line) pair, as it was before pruning.
 
-    node_value on every pair, argmin (first index on ties), then the
-    resolvent cap.  Returns (C_k, witness index or None) per node.
+    The lines are the witnesses and then the two closed-form lines, the
+    resolvent (osc 0, L 1) and g = 0 (osc 1, L 0).  node_value on every
+    pair, argmin (first index on ties), then the resolvent cap.  Returns
+    (C_k, witness index or None) per node; a closed-form line maps to None.
     """
-    values = node_value(cs[:, None], osc, L)
+    values = node_value(cs[:, None], np.append(osc, [0.0, 1.0]), np.append(L, [1.0, 0.0]))
     best = values.argmin(axis=1)
     envelope = values[np.arange(cs.size), best]
     resolvent = np.nextafter(cs + 1.0, np.inf)
-    return [(float(r), None) if r < m else (float(m), int(k)) for k, m, r in zip(best, envelope, resolvent)]
+    return [
+        (float(r), None) if r < m else (float(m), int(k) if k < osc.size else None)
+        for k, m, r in zip(best, envelope, resolvent)
+    ]
 
 
 def pruned_envelope(monkeypatch, cs, osc, L):
@@ -396,6 +401,17 @@ class TestCertifyGrid:
         (point,) = certify_grid([1e-4])
         assert point.params is None
         assert point.C_k == np.nextafter(1.0 + 1e-4, np.inf)
+
+    def test_no_node_above_the_hull_constant(self):
+        # Beyond the hull's last breakpoint g = 0 is the lowest line, and
+        # every node there takes its bound (1 + c)/c.
+        cs = np.geomspace(1e-4, 1e4, 2001)
+        points = certify_grid(cs)
+        assert max(p.C_k for p in points) <= hull_constant().C
+        last = optimize._envelope()[-1][-1]
+        beyond = [p for p in points if p.c > last]
+        assert len(beyond) > 100
+        assert all(p.params is None and p.C_k == node_value(p.c, 1.0, 0.0) for p in beyond)
 
     def test_validation(self):
         assert certify_grid([]) == []
