@@ -74,9 +74,8 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@functools.cache
-def _witness_lp():
-    """The witness program with zero cost, as one HiGHS model.
+def _kept_rows():
+    """The witness program's constraint rows, dense, and the upper bound of each.
 
     Each sample x, and the limit at infinity, gives one row of
     coefficients erf(sqrt(b_k) x) and a target f1(x), and two
@@ -86,16 +85,12 @@ def _witness_lp():
     and the l-side only the one with the smallest, since each implies
     the others of its side; from x of about 5.96e4 on every coefficient
     rounds to 1, so this drops 1616 of the 6002 rows.  The kept rows of
-    each side stay in sample order, the u-side block first, with the
-    bounds (infinite ones as +-kHighsInf) in the form linprog builds.
-    Only the cost depends on c, so a process builds this once, on its
-    first fit.  scipy has no public API to load one program and solve it
-    with several costs, or to presolve it once and restart from a basis;
-    this uses `scipy.optimize._highspy._core`, the binding linprog itself
-    calls (scipy >= 1.15), and so depends on that private module.
+    each side stay in sample order, the u-side block first, in the form
+    linprog builds: the matrix is 4386 x 122 (4.3 MB) and its rows are
+    distinct.  It is rebuilt on each call, so no copy of it stays
+    alive: `_witness_lp` keeps it in sparse form only and `_reduced_lp`
+    drops it once the row map is built.
     """
-    from scipy.optimize._highspy import _core as highs_core
-    from scipy.sparse import csc_array
     from scipy.special import erf
 
     n = WIDTHS.size
@@ -106,11 +101,31 @@ def _witness_lp():
     edge = np.diff(group[order]) != 0
     upper = np.sort(order[np.append(edge, True)])  # the largest target of each group
     lower = np.sort(order[np.insert(edge, 0, True)])  # the smallest
-    matrix = csc_array(np.block([
+    matrix = np.block([
         [-basis[upper], -np.ones((upper.size, 1)), np.zeros((upper.size, 1))],
         [basis[lower], np.zeros((lower.size, 1)), np.ones((lower.size, 1))],
-    ]))
-    rhs = np.concatenate((-target[upper], target[lower]))
+    ])
+    return matrix, np.concatenate((-target[upper], target[lower]))
+
+
+@functools.cache
+def _witness_lp():
+    """The witness program with zero cost, as one HiGHS model.
+
+    Its rows are `_kept_rows`, in sparse column form, with the bounds
+    (infinite ones as +-kHighsInf) in the form linprog builds.  Only the
+    cost depends on c, so a process builds this once, on its first fit.
+    scipy has no public API to load one program and solve it with
+    several costs, or to presolve it once and restart from a basis;
+    this uses `scipy.optimize._highspy._core`, the binding linprog
+    itself calls (scipy >= 1.15), and so depends on that private module.
+    """
+    from scipy.optimize._highspy import _core as highs_core
+    from scipy.sparse import csc_array
+
+    matrix, rhs = _kept_rows()
+    matrix = csc_array(matrix)
+    n = WIDTHS.size
     lp = highs_core.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n + 2
     lp.num_row_ = lp.a_matrix_.num_row_ = rhs.size
@@ -127,11 +142,19 @@ def _witness_lp():
 
 
 def _rows(lp) -> np.ndarray:
-    """The constraint matrix of a HiGHS program, dense."""
+    """The constraint matrix of a HiGHS program, dense.
+
+    The binding hands each of `a_matrix_`'s arrays back as a new Python
+    list, one object per entry (over 30 bytes each, against 8 or 4 in
+    numpy), so each list is converted to numpy and dropped before the
+    next is read.
+    """
     from scipy.sparse import csc_array
 
     a = lp.a_matrix_
-    return csc_array((a.value_, a.index_, a.start_), shape=(lp.num_row_, lp.num_col_)).toarray()
+    value = np.array(a.value_)
+    index = np.array(a.index_, dtype=np.int32)
+    return csc_array((value, index, np.array(a.start_)), shape=(lp.num_row_, lp.num_col_)).toarray()
 
 
 def _highs(lp, c: float, presolve: str):
@@ -168,13 +191,17 @@ def _reduced_lp():
     nearly parallel to a kept one, tightens the bounds of 3 kept rows
     and keeps every column, at every cost tested (the tests compare
     three nodes).  So a process presolves once, at c = 1, on its first
-    fit.  Each kept row is found in `_witness_lp` by its exact
-    coefficients, which are distinct there.
+    fit.  The row map comes from the program's own dense rows, which
+    `_kept_rows` builds again for it and which are dropped once the map
+    is built: each presolved row is found there by its exact
+    coefficients, which are distinct.  So the first fit reads back from
+    HiGHS only the presolved matrix, 522,236 entries (see `_rows`), and
+    never the full program's.  A presolved row that is not a row of the
+    program raises NumericalFailure.
     """
     from scipy.optimize._highspy import _core as highs_core
 
-    full = _witness_lp()
-    highs = _highs(full, 1.0, "on")
+    highs = _highs(_witness_lp(), 1.0, "on")
     if (
         highs is None
         or highs.presolve() == highs_core.HighsStatus.kError
@@ -182,8 +209,13 @@ def _reduced_lp():
     ):
         raise NumericalFailure("HiGHS did not presolve the witness program")
     reduced = highs.getPresolvedLp()
-    index = {row.tobytes(): k for k, row in enumerate(_rows(full))}
-    return reduced, [index[row.tobytes()] for row in _rows(reduced)]
+    del highs  # its presolve buffers go before the rows are read
+    presolved = _rows(reduced)
+    index = {row.tobytes(): k for k, row in enumerate(_kept_rows()[0])}
+    rows = [index.get(row.tobytes()) for row in presolved]
+    if None in rows:
+        raise NumericalFailure(f"row {rows.index(None)} of HiGHS's presolved witness program is not in the program")
+    return reduced, rows
 
 
 def _refused(c: float) -> NumericalFailure:

@@ -5,6 +5,9 @@ CommboundsError and keeps its builtin base; the command line exits 2 on
 any of them, with the message and no traceback.
 """
 
+import functools
+
+import numpy as np
 import pytest
 import scipy.integrate
 from scipy.optimize._highspy import _core as highs_core
@@ -124,4 +127,48 @@ class TestWitnessFitFailure:
         assert captured.out == ""
         assert captured.err == "error: " + message.format(c=float(FIT_NODES[0])) + "\n"
         assert not out.exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class _ChangedPresolveHighs:
+    """A HiGHS instance whose presolved program has one coefficient one ulp off the program's."""
+
+    def __init__(self):
+        self._highs = _REAL_HIGHS()
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getPresolvedLp(self):
+        lp = self._highs.getPresolvedLp()
+        value = np.array(lp.a_matrix_.value_)
+        value[0] = np.nextafter(value[0], np.inf)  # the first entry of column 0, in row 0
+        lp.a_matrix_.value_ = value
+        return lp
+
+
+class TestPresolvedRowNotInProgram:
+    @pytest.fixture(autouse=True)
+    def changed_presolve(self, monkeypatch):
+        # fit_witness sees an empty _reduced_lp cache, so it presolves
+        # under the fake; monkeypatch puts the original cache, with what
+        # it holds, back afterwards.
+        monkeypatch.setattr(witnesses, "_reduced_lp", functools.cache(witnesses._reduced_lp.__wrapped__))
+        monkeypatch.setattr(highs_core, "_Highs", _ChangedPresolveHighs)
+
+    def test_fit_is_refused_with_the_cause(self):
+        c = float(FIT_NODES[0])
+        with pytest.raises(NumericalFailure) as info:
+            fit_witness(c)
+        assert str(info.value) == f"HiGHS did not accept the witness program at c = {c!r}"
+        assert isinstance(info.value.__cause__, NumericalFailure)
+        assert str(info.value.__cause__) == "row 0 of HiGHS's presolved witness program is not in the program"
+
+    def test_fit_witnesses_exits_two(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(witnesses, "FIT_NODES", FIT_NODES[:1])
+        out = tmp_path / "table.json"
+        assert main(["fit-witnesses", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: HiGHS did not accept the witness program at c = {float(FIT_NODES[0])!r}\n"
         assert list(tmp_path.iterdir()) == []

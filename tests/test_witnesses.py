@@ -3,9 +3,12 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -42,6 +45,7 @@ from commbounds.witnesses import (
 )
 
 WITNESSES = load_witnesses()
+SOURCE = str(Path(approx.__file__).resolve().parent.parent)
 
 
 def dense_residual(x, params):
@@ -420,6 +424,32 @@ class TestFitWitness:
             assert (dense_matrix(presolved) == matrix).all(), k
             for bound in ("col_lower_", "col_upper_", "row_lower_", "row_upper_"):
                 assert np.array_equal(getattr(presolved, bound), getattr(reduced, bound)), (k, bound)
+
+    # tracemalloc's peak while _reduced_lp builds the row map, in MiB: about
+    # 23 when only the presolved matrix is read back from HiGHS, about 45.5
+    # when the full program's is read back too.
+    ROW_MAP_PEAK_MIB = 35
+
+    def test_row_map_reads_back_only_the_presolved_matrix(self, tmp_path):
+        # A fresh interpreter, so the caches are cold and this session's are untouched.
+        code = (
+            "import tracemalloc\n"
+            "from commbounds.witnesses import _reduced_lp, _witness_lp\n"
+            "_witness_lp()\n"
+            "tracemalloc.start()\n"
+            "_reduced_lp()\n"
+            "print(tracemalloc.get_traced_memory()[1] / 2**20)\n"
+        )
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, (SOURCE, os.environ.get("PYTHONPATH")))),
+            PYTHONDONTWRITEBYTECODE="1",
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) < self.ROW_MAP_PEAK_MIB
 
     # Away from FIT_NODES the restart may end at another optimal vertex
     # than linprog's; the objectives must still agree to this relative
