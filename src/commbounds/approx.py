@@ -94,7 +94,8 @@ class RootValidationFailed(RuntimeError, CommboundsError):
 
 
 class NumericalFailure(RuntimeError, CommboundsError):
-    """A solver or a quadrature did not reach an answer it can vouch for."""
+    """A solver or a quadrature did not reach an answer it can vouch for, or
+    an inequality checked on computed values failed beyond its slack."""
 
 
 @dataclass(frozen=True)

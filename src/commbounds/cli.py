@@ -186,7 +186,8 @@ def _csv_path(out: str) -> str:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    if _csv_path(args.out) == args.out:
+    # Compared without case: on a case-insensitive file system cert.CSV is cert.csv.
+    if _csv_path(args.out).casefold() == args.out.casefold():
         raise UsageError(f"--out {args.out} is also the CSV path; give it another extension")
     grid = _parse_grid(args.grid)
     cert = global_constant(certify_grid(grid), grid[0], grid[-1])

@@ -22,7 +22,6 @@ agrees; f(A) and f(B) are never formed.
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -30,7 +29,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from commbounds.approx import CommboundsError, DomainViolation
+from commbounds.approx import CommboundsError, DomainViolation, NumericalFailure
 
 __all__ = [
     "BadParameter",
@@ -87,26 +86,18 @@ def _as_square(A, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _frobenius(m: np.ndarray) -> float:
-    """The Frobenius norm of a complex array by numpy.linalg.norm's own
-    arithmetic (the dots of the raveled real and imaginary parts, then
-    sqrt), so the same float, without norm's per-call argument handling."""
-    flat = m.ravel(order="K")
-    re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def _check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
     """m*, for a square complex m that passes ||m - m*|| <= 1e-12 ||m|| in
     the Frobenius norm; any other m raises NotHermitian.
 
     This checks a single matrix, in the one pass that hermitian_eig makes
     over it: the adjoint is returned so that the caller forms it once, and
-    both norms come from _frobenius, numpy.linalg.norm's floats.  The
-    campaign's stacks are not checked; they are built Hermitian.
+    both norms are numpy.linalg.norm's.  name is the argument's name in
+    the error message.  The campaign's stacks are not checked; they are
+    built Hermitian.
     """
     adjoint = m.conj().T
-    if _frobenius(m - adjoint) > 1e-12 * _frobenius(m):
+    if np.linalg.norm(m - adjoint) > 1e-12 * np.linalg.norm(m):
         raise NotHermitian(f"{name} is not Hermitian within 1e-12 relative tolerance")
     return adjoint
 
@@ -344,7 +335,8 @@ def verify_exp_equivalence(X, Y, kind: NormKind) -> tuple[float, float, float]:
     """Chain ||[e^{iX}, Y]|| <= ||[X, Y]|| <= (||X||/sin ||X||) ||[e^{iX}, Y]||.
 
     X must be Hermitian with operator norm < pi.  Returns (lhs, mid,
-    rhs); the chain is enforced up to 1e-9 slack.
+    rhs); the chain is enforced up to 1e-9 slack, and a break in it
+    raises NumericalFailure.
     """
     eigenvalues, vectors = hermitian_eig(X)
     x = np.asarray(X, dtype=np.complex128)
@@ -359,7 +351,7 @@ def verify_exp_equivalence(X, Y, kind: NormKind) -> tuple[float, float, float]:
     mid = float(_norm(x @ y - y @ x, kind))
     rhs = _exp_factor(op) * lhs
     if lhs > mid + 1e-9 or mid > rhs + 1e-9:
-        raise RuntimeError(
+        raise NumericalFailure(
             f"exponential equivalence chain violated: {lhs} <= {mid} <= {rhs}"
         )
     return lhs, mid, rhs
@@ -369,8 +361,9 @@ def verify_jensen(Y, f: Callable[[float], float], kind: NormKind) -> tuple[float
     """Jensen-type bound ||f(|Y|)|| <= ||I|| f(||Y||/||I||).
 
     Valid for nondecreasing concave f with f(0) >= 0.  Returns
-    (lhs, rhs) and enforces the inequality up to 1e-9 slack; equality
-    holds when Y is a multiple of the identity.
+    (lhs, rhs) and enforces the inequality up to 1e-9 slack, raising
+    NumericalFailure when it fails; equality holds when Y is a multiple
+    of the identity.
     """
     y = _as_square(Y, "Y")
     values = np.linalg.svd(y, compute_uv=False)
@@ -379,7 +372,7 @@ def verify_jensen(Y, f: Callable[[float], float], kind: NormKind) -> tuple[float
     eye_norm = float(_norm_from_singulars(np.ones(y.shape[0]), kind))
     rhs = eye_norm * f(float(_norm_from_singulars(values, kind)) / eye_norm)
     if lhs > rhs + 1e-9:
-        raise RuntimeError(f"Jensen bound violated: {lhs} > {rhs}")
+        raise NumericalFailure(f"Jensen bound violated: {lhs} > {rhs}")
     return lhs, rhs
 
 
@@ -602,22 +595,14 @@ def _campaign_shard(args) -> dict:
     }
 
 
-@functools.lru_cache(maxsize=16)
-def _histogram_edges(top: float) -> tuple[float, ...]:
-    """The 50-bin edges on [0, top], as np.histogram draws them.
-
-    Nearly every campaign has top = 1.05; callers that keep many reports
-    then share these float objects instead of holding a copy each.
-    """
-    return tuple(float(e) for e in np.histogram_bin_edges(np.array([]), bins=50, range=(0.0, top)))
-
-
 def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
     """Run the campaign described by cfg; deterministic for a fixed seed.
 
     The maximum ratio is taken over all evaluated trials (zero-ratio
     vacuous instances are excluded); ties resolve to the earliest
-    (shard, trial).  The histogram covers [0, max(1.05, max ratio)].
+    (shard, trial).  The histogram has 50 bins on
+    [0, max(1.05, max ratio)], with the edges np.histogram returns; each
+    report holds its own.
     With threads > 1 the shards run in a process pool with at most one
     worker per shard.
     """
@@ -632,7 +617,7 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
     all_ratios = np.concatenate([res["ratios"] for res in results])
     max_ratio = float(all_ratios.max(initial=0.0))
     top = max(1.05, max_ratio * (1.0 + 1e-12))
-    counts, _ = np.histogram(all_ratios, bins=50, range=(0.0, top))
+    counts, edges = np.histogram(all_ratios, bins=50, range=(0.0, top))
     # max keeps the first of equal ratios, so the earliest shard wins a tie.
     found = (res for res in results if res["best"] is not None)
     winner = max(found, key=lambda res: res["best"][0], default=None)
@@ -653,7 +638,7 @@ def monte_carlo_campaign(cfg: CampaignConfig) -> CampaignReport:
         **settings,
         max_ratio=max_ratio,
         argmax=argmax,
-        histogram={"edges": list(_histogram_edges(top)), "counts": [int(c) for c in counts]},
+        histogram={"edges": edges.tolist(), "counts": counts.tolist()},
         evaluated=int(all_ratios.size),
         skipped=sum(res["skipped"] for res in results),
     )

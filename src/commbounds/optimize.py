@@ -25,7 +25,6 @@ c > 0, with no grid.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,13 +64,10 @@ _MIN_STEP = 1e-9
 _MAX_EVALS = 20000
 _LOWER_BOUNDS = (1e-8, 1e-8)
 
-# certify_grid evaluates node_value only where the plain osc + c*L is
-# within this many ulps (relative) of the node's least, and looks for
-# those witnesses among the ones within _HULL_SLACK (relative) of the
-# lower hull at either end of the node's piece; see there.
-_PRUNE_ULPS = 64
+# certify_grid evaluates node_value only on the lines within this
+# (relative) slack of the lower hull at either end of the node's piece;
+# its docstring shows that they hold every line that can win the node.
 _HULL_SLACK = 1e-9
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,31 +255,30 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     the constant.  Nodes are independent, so each constant does not
     depend on the order of the grid; points come back in grid order.
 
-    node_value is evaluated only on the lines that can win a node.
-    With E = osc + cL exact, the plain float h = osc + c*L is within a
-    factor 1 +- eps of E, both terms being nonnegative, and node_value,
-    five operations each rounded upward, lies between E (c+1)/c and
-    (1 + 8 eps) E (c+1)/c; a witness's osc is at least the certifier's
-    margin and a closed-form line's c*L is exact, so the absolute error
-    of a subnormal c*L does not count.  A line whose h exceeds the
-    node's least h by a factor above 1 + 64 eps (_PRUNE_ULPS ulps)
-    therefore has a node_value above the least one: it can neither win
-    nor tie.
+    node_value is evaluated only on a few candidate lines per node,
+    which hold every line that can win it.  With E = osc + cL exact,
+    the plain float h = osc + c*L is within a factor 1 +- eps of E, both
+    terms being nonnegative, and node_value, five operations each
+    rounded upward, lies between E (c+1)/c and (1 + 8 eps) E (c+1)/c; a
+    witness's osc is at least the certifier's margin and a closed-form
+    line's c*L is exact, so the absolute error of a subnormal c*L does
+    not count.  A line whose h exceeds the
+    node's least h by a factor above 1 + 64 eps (64 ulps) therefore has
+    a node_value above the least one: it can neither win nor tie.
 
-    The lines that can pass that test are found from the lower hull of
-    the lines E_k(t) = osc_k + t L_k (_lower_hull).  A node c lies in a
-    piece [a, b] between float breakpoints, clipped to the grid's range,
-    with hull line E_p.  The node's least h is at most h_p, so a line
-    that passes the test at c has E_k(c) <= (1 + 100 eps) E_p(c).
+    The lines within 64 ulps are found from the lower hull of the lines
+    E_k(t) = osc_k + t L_k (_lower_hull).  A node c lies in a piece
+    [a, b] between float breakpoints, clipped to the grid's range, with
+    hull line E_p.  The node's least h is at most h_p, so a line within
+    64 ulps at c has E_k(c) <= (1 + 100 eps) E_p(c).
     E_k - (1 + 100 eps) E_p is affine in t, so it is <= 0 at a or at b,
     and there the plain h_k is below the plain h_p times 1 + 1e-9
     (_HULL_SLACK).  The lines within that slack of E_p at either end of
-    the piece, its candidates, therefore hold every line that passes the
-    test at any node of the piece, however the breakpoints are rounded;
-    that E_p is the lowest line there only keeps them few.  Their least
-    h is the node's least h, the test keeps the same lines, and
-    node_value and argmin over the candidates, in index order, pick the
-    line that they pick over all of them.  When even the least node_value
+    the piece, its candidates, therefore hold every line that can win or
+    tie at any node of the piece, however the breakpoints are rounded;
+    that E_p is the lowest line there only keeps them few.  node_value
+    and argmin over the candidates, in index order, pick the line that
+    they pick over all of them.  When even the least node_value
     overflows to inf, every one does, and the node takes the first
     witness, as the argmin over all lines would.
     """
@@ -309,10 +304,7 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     slots = np.minimum(np.arange(counts[piece].max()), counts[:, None] - 1)
     table = np.nonzero(near)[1][(np.cumsum(counts) - counts)[:, None] + slots]
     candidates = table[piece]
-    h = cs[:, None] * amplitude[candidates]
-    h += osc[candidates]
-    kept = h <= h.min(axis=1, keepdims=True) * (1.0 + _PRUNE_ULPS * _EPS)
-    values = np.where(kept, node_value(cs[:, None], osc[candidates], amplitude[candidates]), np.inf)
+    values = node_value(cs[:, None], osc[candidates], amplitude[candidates])
     rows = np.arange(cs.size)
     column = values.argmin(axis=1)
     envelope = values[rows, column]
@@ -320,7 +312,7 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     resolvent = np.nextafter(cs + 1.0, np.inf)
     params = [*witnesses, None, None]
     return [
-        _bound_point(c, r, None) if r < m else _bound_point(c, m, params[k])
+        BoundPoint(c, r, None) if r < m else BoundPoint(c, m, params[k])
         for c, k, m, r in zip(cs.tolist(), best.tolist(), envelope.tolist(), resolvent.tolist())
     ]
 
@@ -376,24 +368,6 @@ def _envelope() -> tuple[list[MixtureParams], np.ndarray, np.ndarray, np.ndarray
     osc = np.array([cert.osc for cert in certificates] + [0.0, 1.0])
     amplitude = np.array([cert.L for cert in certificates] + [1.0, 0.0])
     return (witnesses, osc, amplitude, *_lower_hull(osc, amplitude))
-
-
-# The slots' own setters, which the frozen __setattr__ does not guard.
-_SET_C, _SET_C_K, _SET_PARAMS = (BoundPoint.__dict__[name].__set__ for name in ("c", "C_k", "params"))
-
-
-def _bound_point(c: float, C_k: float, params) -> BoundPoint:
-    """BoundPoint(c, C_k, params), its slots filled by their own setters.
-
-    The frozen dataclass's __init__ sets each field with a call to
-    object.__setattr__; the instance left here is the same, and
-    certify_grid builds thousands of them.
-    """
-    point = object.__new__(BoundPoint)
-    _SET_C(point, c)
-    _SET_C_K(point, C_k)
-    _SET_PARAMS(point, params)
-    return point
 
 
 def _lower_hull(osc: np.ndarray, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

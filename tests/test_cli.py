@@ -126,13 +126,15 @@ class TestCertifyCommand:
         assert stdout.strip() == "1.0087602160646407"
 
     def test_out_that_is_the_csv_path_is_usage_error(self, capsys, tmp_path):
-        # The JSON would be written and then overwritten by the CSV.
-        out = str(tmp_path / "cert.csv")
-        code, stdout, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)
-        assert code == 1
-        assert err.startswith("usage error: ") and "CSV" in err
-        assert stdout == ""
-        assert list(tmp_path.iterdir()) == []
+        # The JSON would be written and then overwritten by the CSV, also
+        # on a case-insensitive file system, where cert.CSV is cert.csv.
+        for name in ("cert.csv", "cert.CSV"):
+            out = str(tmp_path / name)
+            code, stdout, err = run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", out)
+            assert code == 1
+            assert err.startswith("usage error: ") and "CSV" in err
+            assert stdout == ""
+            assert list(tmp_path.iterdir()) == []
 
     def test_corner_below_two_thirds_is_the_shift_constant(self, capsys, tmp_path):
         out = str(tmp_path / "cert.json")

@@ -80,6 +80,29 @@ class TestQuadratureFailure:
         assert captured.err == "error: quadrature error estimate 3.183e-01 exceeds 1e-6\n"
 
 
+class TestCheckedInequalityFailure:
+    # A checked inequality that fails beyond its 1e-9 slack is a
+    # computation failure, so a NumericalFailure, still a RuntimeError.
+    def test_jensen_with_convex_f(self):
+        # f(x) = x^2 on Y = diag(1, 3) in the trace norm: 1 + 9 > 2 (4/2)^2.
+        y = np.diag([1.0, 3.0])
+        with pytest.raises(NumericalFailure) as info:
+            matrixlab.verify_jensen(y, lambda x: x * x, matrixlab.NormKind.trace())
+        assert str(info.value) == "Jensen bound violated: 10.0 > 8.0"
+        assert isinstance(info.value, RuntimeError)
+
+    def test_exp_chain_with_a_zero_factor(self, monkeypatch):
+        # With the factor ||X||/sin ||X|| replaced by 0 the chain's right
+        # end is 0, below the nonzero middle term.
+        monkeypatch.setattr(matrixlab, "_exp_factor", lambda x: 0.0)
+        x = np.diag([0.5, -0.5])
+        y = np.array([[0.0, 1.0], [0.0, 0.0]])
+        message = r"^exponential equivalence chain violated: \S+ <= 1\.0 <= 0\.0$"
+        with pytest.raises(NumericalFailure, match=message) as info:
+            matrixlab.verify_exp_equivalence(x, y, matrixlab.NormKind.operator())
+        assert isinstance(info.value, RuntimeError)
+
+
 _REAL_HIGHS = highs_core._Highs
 
 

@@ -1061,19 +1061,6 @@ class TestOnePassMatchesReference:
 
 
 class TestOnePassPieces:
-    def test_frobenius_is_numpy_norm_bit_for_bit(self):
-        rng = np.random.default_rng(81)
-        for exponent in range(-150, 151, 5):
-            scale = 10.0**exponent
-            for rows, cols in ((1, 1), (2, 2), (3, 5), (6, 6), (7, 4)):
-                m = scale * random_complex(rng, rows, cols)
-                views = [m, m.T, m.conj(), m.conj().T, m[::-1, ::2], m.T[:, ::-1]]
-                if rows == cols:
-                    views.append(m - m.conj().T)
-                for view in views:
-                    want = np.linalg.norm(view)
-                    assert repr(matrixlab._frobenius(view)) == repr(float(want))
-
     def test_check_hermitian_matches_reference_at_the_tolerance(self):
         rng = np.random.default_rng(82)
         accepted = rejected = 0

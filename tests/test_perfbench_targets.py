@@ -37,9 +37,15 @@ def test_every_traced_target_resolves():
 
 # The benchmark's calls into the package (perfbench/workloads.py), as
 # positional and keyword argument names; the values are placeholders.
+# A dotted attribute is looked up part by part.
 CALL_SHAPES = {
     "optimize_grid": ("commbounds.optimize", "optimize_grid", ("grid",), ()),
     "certify_grid": ("commbounds.optimize", "certify_grid", ("grid",), ()),
+    "build_paper_grid": ("commbounds.optimize", "build_paper_grid", (), ()),
+    "global_constant": ("commbounds.stitch", "global_constant", ("points", "c1", "cn"), ()),
+    "sqrt_constant": ("commbounds.stitch", "sqrt_constant", ("points",), ()),
+    "from_dict": ("commbounds.stitch", "StitchedCertificate.from_dict", ("payload",), ()),
+    "certify_mixture": ("commbounds.approx", "certify_mixture", ("params",), ()),
     "optimize_pq_f1": ("commbounds.formulas", "optimize_pq_f1", ("c",), ("start",)),
     "fit_witness": ("commbounds.witnesses", "fit_witness", ("c",), ()),
     "campaign_f1": (
@@ -54,6 +60,10 @@ CALL_SHAPES = {
         (),
         ("n_max", "trials", "seed", "f", "norm", "a_equals_b", "unit_norm_a", "min_commutator", "threads"),
     ),
+    "monte_carlo_campaign": ("commbounds.matrixlab", "monte_carlo_campaign", ("cfg",), ()),
+    "verify_conjecture_ratio": ("commbounds.matrixlab", "verify_conjecture_ratio", ("A", "B", "X", "f", "kind"), ()),
+    "ky_fan": ("commbounds.matrixlab", "NormKind.ky_fan", ("k",), ()),
+    "schatten": ("commbounds.matrixlab", "NormKind.schatten", ("p",), ()),
 }
 
 
@@ -61,7 +71,9 @@ CALL_SHAPES = {
     "module, attribute, positional, keywords", CALL_SHAPES.values(), ids=CALL_SHAPES.keys()
 )
 def test_benchmark_call_shapes_bind(module, attribute, positional, keywords):
-    target = getattr(importlib.import_module(module), attribute)
+    target = importlib.import_module(module)
+    for part in attribute.split("."):
+        target = getattr(target, part)
     inspect.signature(target).bind(*positional, **{name: name for name in keywords})
 
 
