@@ -114,8 +114,12 @@ def pattern_search_nd(
     point seen, which is never worse than the clamped start.
 
     start must be non-empty and finite, also once clamped, and lower and
-    upper as long as start.  A poll moves one coordinate of the clamped
-    best point, so it clamps and checks only that coordinate.
+    upper as long as start.  The polls are listed once as (axis, sign,
+    lo, hi), a missing bound read as -inf or +inf, which clamps the same
+    way.  A poll moves one coordinate of the best point, held in a list,
+    in place, clamps it into [lo, hi] and checks only it, passes the
+    objective a tuple of the point, and puts the coordinate back when the
+    poll does not improve.
     """
     dim = len(start)
     lower = tuple(lower) if lower is not None else (None,) * dim
@@ -130,34 +134,38 @@ def pattern_search_nd(
     best = _clamp(start, lower, upper)
     if not all(math.isfinite(v) for v in start + best):
         raise DomainViolation(f"start and its clamp into the bounds must be finite, got {start}")
-    bounds = tuple(enumerate(zip(lower, upper)))
+    polls = [
+        (axis, sign, -math.inf if lo is None else lo, math.inf if hi is None else hi)
+        for axis, (lo, hi) in enumerate(zip(lower, upper))
+        for sign in (1.0, -1.0)
+    ]
     f_best = objective(best)
+    point = list(best)
     evals = 1
     step = _INITIAL_STEP
     while step >= _MIN_STEP and evals < _MAX_EVALS:
-        improved = False
-        for axis, (lo, hi) in bounds:
-            for sign in (1.0, -1.0):
-                value = best[axis] + sign * step
-                if lo is not None and value < lo:
-                    value = lo
-                if hi is not None and value > hi:
-                    value = hi
-                if value == best[axis] or not math.isfinite(value):
-                    continue
-                cand = best[:axis] + (value,) + best[axis + 1 :]
-                f_cand = objective(cand)
-                evals += 1
-                if f_cand < f_best:
-                    best, f_best = cand, f_cand
-                    improved = True
-                    break
-                if evals >= _MAX_EVALS:
-                    break
-            if improved or evals >= _MAX_EVALS:
+        for axis, sign, lo, hi in polls:
+            here = point[axis]
+            value = here + sign * step
+            if value < lo:
+                value = lo
+            if value > hi:
+                value = hi
+            if value == here or not math.isfinite(value):
+                continue
+            point[axis] = value
+            f_cand = objective(tuple(point))
+            evals += 1
+            if f_cand < f_best:
+                f_best = f_cand
+                step *= _EXPAND
                 break
-        step = step * _EXPAND if improved else step * _SHRINK
-    return best
+            point[axis] = here
+            if evals >= _MAX_EVALS:
+                break
+        else:
+            step *= _SHRINK
+    return tuple(point)
 
 
 def pattern_search(
@@ -304,12 +312,14 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     slots = np.minimum(np.arange(counts[piece].max()), counts[:, None] - 1)
     table = np.nonzero(near)[1][(np.cumsum(counts) - counts)[:, None] + slots]
     candidates = table[piece]
-    values = node_value(cs[:, None], osc[candidates], amplitude[candidates])
+    # Near the float maximum these overflow to inf, which the rules above handle.
+    with np.errstate(over="ignore"):
+        values = node_value(cs[:, None], osc[candidates], amplitude[candidates])
+        resolvent = np.nextafter(cs + 1.0, np.inf)
     rows = np.arange(cs.size)
     column = values.argmin(axis=1)
     envelope = values[rows, column]
     best = np.where(envelope < np.inf, candidates[rows, column], 0)
-    resolvent = np.nextafter(cs + 1.0, np.inf)
     params = [*witnesses, None, None]
     return [
         BoundPoint(c, r, None) if r < m else BoundPoint(c, m, params[k])

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,8 +21,10 @@ from commbounds.approx import (
     RootValidationFailed,
     certify_mixture,
     erf_min_bound,
+    f1,
     node_value,
 )
+from commbounds.formulas import _pq_f1
 from commbounds.optimize import (
     BoundPoint,
     build_paper_grid,
@@ -157,6 +160,60 @@ def near_tie_table(seed):
     raise AssertionError("no copy ties only after upward rounding")
 
 
+def reference_pattern_search_nd(objective, start, lower=None, upper=None):
+    """pattern_search_nd's poll loop as it was before it moved a mutable point.
+
+    It rebuilds every candidate tuple and tests each bound against None.
+    The step constants and the evaluation cap are read from the module at
+    call time, so a monkeypatched _MAX_EVALS applies here too.
+    """
+    dim = len(start)
+    lower = tuple(lower) if lower is not None else (None,) * dim
+    upper = tuple(upper) if upper is not None else (None,) * dim
+    best = optimize._clamp(tuple(float(v) for v in start), lower, upper)
+    bounds = tuple(enumerate(zip(lower, upper)))
+    f_best = objective(best)
+    evals = 1
+    step = optimize._INITIAL_STEP
+    while step >= optimize._MIN_STEP and evals < optimize._MAX_EVALS:
+        improved = False
+        for axis, (lo, hi) in bounds:
+            for sign in (1.0, -1.0):
+                value = best[axis] + sign * step
+                if lo is not None and value < lo:
+                    value = lo
+                if hi is not None and value > hi:
+                    value = hi
+                if value == best[axis] or not math.isfinite(value):
+                    continue
+                cand = best[:axis] + (value,) + best[axis + 1 :]
+                f_cand = objective(cand)
+                evals += 1
+                if f_cand < f_best:
+                    best, f_best = cand, f_cand
+                    improved = True
+                    break
+                if evals >= optimize._MAX_EVALS:
+                    break
+            if improved or evals >= optimize._MAX_EVALS:
+                break
+        step = step * optimize._EXPAND if improved else step * optimize._SHRINK
+    return best
+
+
+def polled_search(search, objective, start, lower=None, upper=None):
+    """Run search on objective; return its result and every (point, value) it polled."""
+    polls = []
+
+    def spy(point):
+        assert type(point) is tuple
+        value = objective(point)
+        polls.append((point, value))
+        return value
+
+    return search(spy, start, lower=lower, upper=upper), polls
+
+
 class TestSearchConstants:
     def test_step_control_values(self):
         # The certified single-Gaussian constants depend on these values.
@@ -243,6 +300,81 @@ class TestPatternSearch:
         with pytest.raises(DomainViolation):
             pattern_search_nd(lambda t: calls.append(t) or 0.0, start, lower=lower, upper=upper)
         assert calls == []
+
+
+class TestPollLoopMatchesReference:
+    """pattern_search_nd polls the points the reference loop polls, in its order.
+
+    Both searches must see the same points and values, bit for bit, and
+    return the same point.
+    """
+
+    def assert_same_search(self, objective, start, lower=None, upper=None):
+        expected = polled_search(reference_pattern_search_nd, objective, start, lower, upper)
+        found = polled_search(pattern_search_nd, objective, start, lower, upper)
+        assert found == expected
+        return found
+
+    def test_upper_bounded_objectives(self):
+        _, polls = self.assert_same_search(
+            lambda t: (t[0] - 2.0) ** 2 + (t[1] + 3.0) ** 2,
+            (1.0, -1.0),
+            lower=(1e-8, None),
+            upper=(None, 0.0),
+        )
+        assert any(point[1] == 0.0 for point, _ in polls[1:])
+        best, _ = self.assert_same_search(
+            lambda t: (t[0] - 2.0) ** 2 + (t[1] - 1.0) ** 2,
+            (1.0, -1.0),
+            upper=(None, 0.0),
+        )
+        assert best[1] == 0.0
+
+    def test_inf_on_a_half_plane(self):
+        def objective(t):
+            if t[0] + 2.0 * t[1] > 1.0:
+                return math.inf
+            return (t[0] - 3.0) ** 2 + (t[1] - 2.0) ** 2
+
+        best, polls = self.assert_same_search(objective, (0.0, 0.0))
+        assert any(value == math.inf for _, value in polls)
+        assert objective(best) < objective((0.0, 0.0))
+
+    def test_three_axes(self):
+        def objective(t):
+            return (t[0] - 1.3) ** 2 + 2.0 * (t[1] + 0.7) ** 2 + (t[2] - t[0]) ** 4 + 0.1 * t[1] * t[2]
+
+        best, polls = self.assert_same_search(
+            objective, (0.2, 0.1, -0.4), lower=(0.0, None, -1.0), upper=(None, 0.5, 1.0)
+        )
+        assert len(polls) > 100
+        assert best[2] == 1.0
+
+    def test_chained_pq_f1(self):
+        start = (1.0, -0.01)
+        for c in (0.001, 0.05, 0.3, 1.0, 4.0, 15.0):
+            scale = f1(c)
+            start, _ = self.assert_same_search(
+                lambda t, c=c, scale=scale: _pq_f1(c, scale, t[0], t[1]),
+                start,
+                lower=(1e-8, None),
+                upper=(None, 0.0),
+            )
+
+    def test_evaluation_cap_ends_an_iteration_mid_poll(self, monkeypatch):
+        def objective(t):
+            return (t[0] - 2.0) ** 2 + (t[1] + 3.0) ** 2 + 0.5 * t[0] * t[1]
+
+        mid_poll = []
+        for cap in range(1, 40):
+            monkeypatch.setattr(optimize, "_MAX_EVALS", cap)
+            best, polls = self.assert_same_search(objective, (1.0, -1.0))
+            assert len(polls) == cap
+            # The last poll moved x0, did not improve and left the x1 polls.
+            point, value = polls[-1]
+            if point[0] != best[0] and point[1] == best[1] and value >= objective(best):
+                mid_poll.append(cap)
+        assert mid_poll
 
 
 class TestPaperGrid:
@@ -465,6 +597,18 @@ class TestPrunedEnvelope:
             expected = full_envelope(cs, osc, L)
             assert pruned_envelope(monkeypatch, cs, osc, L) == expected
         assert expected[0] == (math.inf, 0)
+
+
+class TestCertifyGridOverflow:
+    @pytest.mark.parametrize("top", [1e300, sys.float_info.max])
+    def test_no_warning_near_the_float_maximum(self, top):
+        # Lines that lose overflow to inf there; the points must not
+        # depend on whether numpy's warnings are errors.
+        with np.errstate(over="ignore"):
+            expected = certify_grid([1.0, top])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert certify_grid([1.0, top]) == expected
 
 
 POSITIVE = st.floats(1e-4, 2.0)
