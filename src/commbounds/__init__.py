@@ -50,7 +50,6 @@ from commbounds.formulas import (
     pq_sqrt_bound,
     scaled_cayley_Cc,
     shift_constant,
-    simple_Ct,
     trivial_constant,
 )
 from commbounds.matrixlab import (
@@ -146,7 +145,6 @@ __all__ = [
     "pq_sqrt_bound",
     "scaled_cayley_Cc",
     "shift_constant",
-    "simple_Ct",
     "singular_values",
     "sqrt_constant",
     "trivial_constant",

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
@@ -238,21 +237,15 @@ def x_end(params: GaussianParams) -> float:
     """Return a point to the right of every root of phi where phi > 0.
 
     Since log(1 + x) <= x, phi dominates the quadratic b*x^2 - 2*x - log(a),
-    whose larger root (1 + sqrt(1 + b * log(a))) / b serves as a seed; a
-    negative radicand clamps the square root to zero.  The seed is doubled
-    (at most 60 times) until phi is strictly positive there.
+    whose larger root (1 + sqrt(1 + b * log(a))) / b serves as a seed.  A
+    negative radicand leaves the quadratic no root, so phi > 0 everywhere
+    and the square root clamps to zero with no warning; erf_min_bound never
+    gets here, as 1/b = x*^2 + x* then gives phi(x*) > x*^3/(1 + x*) > 0.
+    The seed is doubled (at most 60 times) until phi is strictly positive.
     """
     a, b = params.a, params.b
     radicand = 1.0 + b * math.log(a)
-    if radicand > 0.0:
-        shift = math.sqrt(radicand)
-    else:
-        warnings.warn(
-            "x_end radicand 1 + b*log(a) is negative; square-root term clamped to zero",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        shift = 0.0
+    shift = math.sqrt(radicand) if radicand > 0.0 else 0.0
     point = (1.0 + shift) / b
     for _ in range(61):
         if phi(point, params) > 0.0:

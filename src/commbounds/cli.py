@@ -86,6 +86,10 @@ def _atomic_write(path: str, text: str) -> None:
         try:
             with os.fdopen(fd, "w") as handle:
                 handle.write(text)
+            # open()'s mode, 0o666 less the umask, in place of mkstemp's 0o600.
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, path)
         except BaseException:
             if os.path.exists(tmp):

@@ -1,11 +1,11 @@
 """Closed-form constants and small minimizations for commutator bounds.
 
 Everything here is an explicit formula or a one-dimensional/
-two-dimensional minimization of one.  The gamma_* functions bound the
-best constant for f(x) = x^r at a given r; the pq_* functions evaluate
-the piecewise-quadratic antiderivative construction for f(x) = sqrt(x)
-and f(x) = x/(x+1); of the remaining envelope bounds, the certificate
-stitcher reuses csc1 and scaled_cayley_Cc.
+two-dimensional minimization of one, each written once.  The gamma_*
+functions bound the best constant for f(x) = x^r at a given r; the pq_*
+functions evaluate the piecewise-quadratic antiderivative construction
+for f(x) = sqrt(x) and f(x) = x/(x+1); of the envelope bounds, the
+certificate stitcher reuses csc1 and scaled_cayley_Cc.
 
 The f1 search polls the private kernel _pq_f1 on bare floats: it checks
 the knot and slope offset as PiecewiseQuadParams does, but takes c as
@@ -30,15 +30,12 @@ __all__ = [
     "gamma_pedersen",
     "gamma_sin",
     "gamma_tangent",
-    "gamma_tangent_objective",
     "optimize_pq_f1",
     "pq_f1_bound",
-    "pq_f1_t_star",
     "pq_sqrt_bound",
     "pq_sqrt_t_star",
     "scaled_cayley_Cc",
     "shift_constant",
-    "simple_Ct",
     "trivial_constant",
 ]
 
@@ -107,13 +104,6 @@ def gamma_pedersen(r: float) -> float:
     return 2.0**r * (1.0 - r) ** (-0.5 * (1.0 - r)) * (1.0 + r) ** (-0.5 * (1.0 + r))
 
 
-def gamma_tangent_objective(r: float, a: float) -> float:
-    """Unminimized tangent-construction objective (2-r)[(1-r)/2 a^r + r a^(r-1)]."""
-    r = _check_unit_interval(r)
-    a = _check_positive(a, "a")
-    return (2.0 - r) * (0.5 * (1.0 - r) * a**r + r * a ** (r - 1.0))
-
-
 def gamma_tangent(r: float) -> float:
     """Tangent-construction bound (2 - r) 2^(r - 1), the a = 2 minimum."""
     r = _check_unit_interval(r)
@@ -174,19 +164,12 @@ def pq_sqrt_bound(p: PiecewiseQuadParams) -> float:
     return j(pq_sqrt_t_star(p)) - min(j(0.0), 0.0) + gp0
 
 
-def pq_f1_t_star(p: PiecewiseQuadParams) -> float:
-    """Interior critical point of f1(x) - g(x) below the knot; a when m = 0."""
-    q3 = (p.a + 1.0) ** 3
-    disc = math.sqrt(9.0 - 4.0 * p.m * q3)
-    return -1.0 + (p.a + 1.0) * (1.0 + disc) / (4.0 - 2.0 * p.m * q3)
-
-
 def _pq_f1(c: float, scale: float, a: float, m: float) -> float:
     """pq_f1_bound on bare floats, given c > 0 and scale = f1(c).
 
-    a and m are checked as PiecewiseQuadParams checks them; everything
-    else repeats pq_f1_t_star and j = f1 - g operation for operation, so
-    the value is pq_f1_bound's bit for bit.
+    a and m are checked as PiecewiseQuadParams checks them.  t* is the
+    interior critical point of j = f1 - g below the knot, a when m = 0;
+    pq_f1_bound calls this kernel, so the two agree bit for bit.
     """
     if not (0.0 < a < math.inf and -math.inf < m <= 0.0):
         PiecewiseQuadParams(a, m)  # raises DomainViolation with the rule broken
@@ -240,12 +223,6 @@ def optimize_pq_f1(
     )
     params = PiecewiseQuadParams(best[0], best[1])
     return pq_f1_bound(c, params), params
-
-
-def simple_Ct(t: float) -> float:
-    """Envelope min(t + 1, (t + 1)/t); both branches equal 2 at t = 1."""
-    t = _check_positive(t, "t")
-    return min(t + 1.0, (t + 1.0) / t)
 
 
 def scaled_cayley_Cc(c: float) -> float:

@@ -89,17 +89,6 @@ class BoundPoint:
         return self.C_k == math.inf
 
 
-def _clamp(point: tuple[float, ...], lower, upper) -> tuple[float, ...]:
-    out = []
-    for value, lo, hi in zip(point, lower, upper):
-        if lo is not None and value < lo:
-            value = lo
-        if hi is not None and value > hi:
-            value = hi
-        out.append(value)
-    return tuple(out)
-
-
 def pattern_search_nd(
     objective: Callable[[tuple[float, ...]], float],
     start: Sequence[float],
@@ -114,12 +103,12 @@ def pattern_search_nd(
     point seen, which is never worse than the clamped start.
 
     start must be non-empty and finite, also once clamped, and lower and
-    upper as long as start.  The polls are listed once as (axis, sign,
-    lo, hi), a missing bound read as -inf or +inf, which clamps the same
-    way.  A poll moves one coordinate of the best point, held in a list,
-    in place, clamps it into [lo, hi] and checks only it, passes the
-    objective a tuple of the point, and puts the coordinate back when the
-    poll does not improve.
+    upper as long as start.  Each axis's bounds are read once as (lo, hi),
+    a missing bound as -inf or +inf.  min(max(v, lo), hi) clamps the start
+    by the polls' comparisons, v < lo and then v > hi.  A poll moves one
+    coordinate of the best point, held in a list, in place, clamps it into
+    [lo, hi] and checks only it, passes the objective a tuple of the point,
+    and puts the coordinate back when the poll does not improve.
     """
     dim = len(start)
     lower = tuple(lower) if lower is not None else (None,) * dim
@@ -131,16 +120,15 @@ def pattern_search_nd(
             f"lower and upper must have {dim} entries like start, got {len(lower)} and {len(upper)}"
         )
     start = tuple(float(v) for v in start)
-    best = _clamp(start, lower, upper)
-    if not all(math.isfinite(v) for v in start + best):
-        raise DomainViolation(f"start and its clamp into the bounds must be finite, got {start}")
-    polls = [
-        (axis, sign, -math.inf if lo is None else lo, math.inf if hi is None else hi)
-        for axis, (lo, hi) in enumerate(zip(lower, upper))
-        for sign in (1.0, -1.0)
+    bounds = [
+        (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+        for lo, hi in zip(lower, upper)
     ]
-    f_best = objective(best)
-    point = list(best)
+    point = [min(max(v, lo), hi) for v, (lo, hi) in zip(start, bounds)]
+    if not all(math.isfinite(v) for v in start + tuple(point)):
+        raise DomainViolation(f"start and its clamp into the bounds must be finite, got {start}")
+    polls = [(axis, sign, lo, hi) for axis, (lo, hi) in enumerate(bounds) for sign in (1.0, -1.0)]
+    f_best = objective(tuple(point))
     evals = 1
     step = _INITIAL_STEP
     while step >= _MIN_STEP and evals < _MAX_EVALS:

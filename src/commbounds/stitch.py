@@ -35,7 +35,6 @@ __all__ = [
     "continuity_lift",
     "corner_large",
     "corner_small",
-    "gamma_half_integrand",
     "gamma_half_via_Cc",
     "global_constant",
     "sqrt_constant",
@@ -245,18 +244,12 @@ def sqrt_constant(points: Sequence[BoundPoint]) -> float:
     return total / math.pi
 
 
-def gamma_half_integrand(t: float) -> float:
-    """Integrand min(csc 1, Cayley bound)/( (1+t) sqrt t ) of the sqrt estimate."""
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainViolation(f"t must be positive and finite, got {t}")
-    return min(csc1(), scaled_cayley_Cc(t)) / ((1.0 + t) * math.sqrt(t))
-
-
 def gamma_half_via_Cc() -> float:
     """sqrt-commutator constant from the capped Cayley curve alone.
 
-    Evaluates (1/pi) integral of gamma_half_integrand over (0, inf).
-    The substitution t = u^2 removes the 1/sqrt(t) singularity, leaving
+    Evaluates (1/pi) integral over (0, inf) of the integrand
+    min(csc 1, Cayley(t)) / ((1 + t) sqrt t).  The substitution t = u^2
+    removes the 1/sqrt(t) singularity, leaving
     (2/pi) integral of min(csc 1, Cayley(u^2))/(1+u^2) du, which is
     smooth; with the curve replaced by 1 the integral is exactly 1.
     """

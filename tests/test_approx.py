@@ -201,10 +201,12 @@ class TestPhi:
                 assert j_prime(float(x), p) > 0.0
 
     def test_x_end_clamped_radicand(self):
-        # b * log(a) < -1 clamps the square-root shift to zero; the seed
-        # 1/b already lands in the positive region for these parameters.
+        # b * log(a) < -1 clamps the square-root shift to zero, with no
+        # warning; the seed 1/b already lands in the positive region for
+        # these parameters.
         p = GaussianParams(0.01, 0.5)
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             assert x_end(p) == 2.0
 
 

@@ -151,6 +151,20 @@ class TestCertifyCommand:
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_written_files_have_the_mode_open_gives(self, capsys, tmp_path):
+        # mkstemp makes a file owner-only; a certificate is meant to be
+        # read by others, so it gets open()'s 0o666 less the umask.
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "cert.json"
+            assert run(capsys, "certify", "--grid", "0.9:1.1:0.1", "--out", str(out))[0] == 0
+            forms = tmp_path / "cf.txt"
+            assert run(capsys, "closed-forms", "--out", str(forms))[0] == 0
+        finally:
+            os.umask(old)
+        for path in (out, tmp_path / "cert.csv", forms):
+            assert path.stat().st_mode & 0o777 == 0o644, path
+
     def test_bad_grid_spec_exit_one(self, capsys, tmp_path):
         for spec in ("weird", "1:2", "0:1:0.5", "1:2:-1"):
             code, _, _ = run(

@@ -16,19 +16,23 @@ from commbounds.formulas import (
     gamma_pedersen,
     gamma_sin,
     gamma_tangent,
-    gamma_tangent_objective,
     optimize_pq_f1,
     pq_f1_bound,
-    pq_f1_t_star,
     pq_sqrt_bound,
     pq_sqrt_t_star,
     scaled_cayley_Cc,
     shift_constant,
-    simple_Ct,
     trivial_constant,
 )
 
 R_GRID = np.arange(0.001, 1.0, 0.001)
+
+
+def pq_f1_t_star(p):
+    """Interior critical point of f1 - g below the knot, as _pq_f1 computes it."""
+    q3 = (p.a + 1.0) ** 3
+    disc = math.sqrt(9.0 - 4.0 * p.m * q3)
+    return -1.0 + (p.a + 1.0) * (1.0 + disc) / (4.0 - 2.0 * p.m * q3)
 
 
 class TestTrivialAndShift:
@@ -85,6 +89,10 @@ class TestGammaFormulas:
         assert abs(gamma_tangent(1.0 - 1e-9) - 1.0) < 1e-8
 
     def test_tangent_objective_minimized_at_two(self):
+        def gamma_tangent_objective(r, a):
+            # The tangent construction's objective before minimizing over a.
+            return (2.0 - r) * (0.5 * (1.0 - r) * a**r + r * a ** (r - 1.0))
+
         for r in (0.1, 0.3, 0.5, 0.7, 0.9):
             assert abs(gamma_tangent_objective(r, 2.0) - gamma_tangent(r)) < 1e-14
             h = 1e-5
@@ -364,13 +372,6 @@ class TestPqF1:
 
 
 class TestEnvelopes:
-    def test_simple_Ct(self):
-        assert simple_Ct(1.0) == 2.0
-        assert simple_Ct(0.25) == 1.25
-        assert simple_Ct(4.0) == 1.25
-        with pytest.raises(DomainViolation):
-            simple_Ct(0.0)
-
     def test_scaled_cayley_max(self):
         assert scaled_cayley_Cc(2.0 / 3.0) == pytest.approx(1.25, abs=1e-12)
         grid = np.arange(1e-3, 10.0, 1e-3)
@@ -388,5 +389,6 @@ class TestEnvelopes:
 
     def test_scaled_cayley_below_simple_envelope(self):
         for c in np.geomspace(1e-3, 100.0, 200):
-            assert scaled_cayley_Cc(float(c)) <= simple_Ct(float(c))
+            c = float(c)
+            assert scaled_cayley_Cc(c) <= min(c + 1.0, (c + 1.0) / c)
 

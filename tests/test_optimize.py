@@ -160,6 +160,17 @@ def near_tie_table(seed):
     raise AssertionError("no copy ties only after upward rounding")
 
 
+def _clamp(point, lower, upper):
+    out = []
+    for value, lo, hi in zip(point, lower, upper):
+        if lo is not None and value < lo:
+            value = lo
+        if hi is not None and value > hi:
+            value = hi
+        out.append(value)
+    return tuple(out)
+
+
 def reference_pattern_search_nd(objective, start, lower=None, upper=None):
     """pattern_search_nd's poll loop as it was before it moved a mutable point.
 
@@ -170,7 +181,7 @@ def reference_pattern_search_nd(objective, start, lower=None, upper=None):
     dim = len(start)
     lower = tuple(lower) if lower is not None else (None,) * dim
     upper = tuple(upper) if upper is not None else (None,) * dim
-    best = optimize._clamp(tuple(float(v) for v in start), lower, upper)
+    best = _clamp(tuple(float(v) for v in start), lower, upper)
     bounds = tuple(enumerate(zip(lower, upper)))
     f_best = objective(best)
     evals = 1

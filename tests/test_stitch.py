@@ -18,7 +18,6 @@ from commbounds.stitch import (
     continuity_lift,
     corner_large,
     corner_small,
-    gamma_half_integrand,
     gamma_half_via_Cc,
     global_constant,
     sqrt_constant,
@@ -289,23 +288,10 @@ class TestGammaHalfIntegral:
         assert 1.0 < value < 1.102
 
     def test_matches_unsubstituted_quadrature(self):
-        direct, err = quad(gamma_half_integrand, 0.0, math.inf, limit=400)
+        def integrand(t):
+            # The integrand in t, before the substitution t = u^2.
+            return min(csc1(), scaled_cayley_Cc(t)) / ((1.0 + t) * math.sqrt(t))
+
+        direct, err = quad(integrand, 0.0, math.inf, limit=400)
         assert err / math.pi < 1e-6
         assert gamma_half_via_Cc() == pytest.approx(direct / math.pi, abs=1e-6)
-
-    def test_integrand_csc_branch_at_two_thirds(self):
-        t = 2.0 / 3.0
-        assert scaled_cayley_Cc(t) == pytest.approx(1.25, abs=1e-12)
-        assert 1.25 > csc1()
-        expected = csc1() / ((1.0 + t) * math.sqrt(t))
-        assert gamma_half_integrand(t) == pytest.approx(expected, abs=1e-12)
-
-    def test_integrand_cayley_branch(self):
-        t = 0.1
-        assert scaled_cayley_Cc(t) < csc1()
-        expected = scaled_cayley_Cc(t) / ((1.0 + t) * math.sqrt(t))
-        assert gamma_half_integrand(t) == pytest.approx(expected, abs=1e-14)
-
-    def test_domain(self):
-        with pytest.raises(DomainViolation):
-            gamma_half_integrand(0.0)

@@ -172,16 +172,16 @@ def random_mixtures():
 RANDOM_MIXTURES = random_mixtures()
 
 
-def large_mixtures():
-    """Twenty seeded mixtures of 31 to 40 terms, drawn as random_mixtures draws them.
+def large_mixtures(sizes=tuple(31 + n % 10 for n in range(20)), seed=20261019):
+    """Seeded mixtures of the given sizes, drawn as random_mixtures draws them.
 
-    They fill the size class 32-39 and reach the next one, which
-    RANDOM_MIXTURES, at 1 to 30 terms, does not.
+    By default twenty of 31 to 40 terms: they fill the size class 32-39
+    and reach the next one, which RANDOM_MIXTURES, at 1 to 30 terms, does
+    not.
     """
-    rng = np.random.default_rng(20261019)
+    rng = np.random.default_rng(seed)
     out = []
-    for n in range(20):
-        size = 31 + n % 10
+    for n, size in enumerate(sizes):
         b = rng.choice(WIDTHS, size) if n % 2 == 0 else 10.0 ** rng.uniform(-8.0, 3.0, size)
         if n % 5 == 0:
             b[-1] = b[0]
@@ -498,6 +498,16 @@ class TestBatchedCertifier:
         assert certify_mixtures(large) == reference
         mixed = large[::-1] + RANDOM_MIXTURES[::13] + WITNESSES[::9]
         assert certify_mixtures(mixed) == [reference_certificate(p) for p in mixed]
+
+    def test_mixtures_above_forty_terms_alone_and_batched(self):
+        # From 128 terms on a class is not padded, and above 128
+        # _ordered_sum splits the terms in two parts.
+        huge = large_mixtures((120, 127, 128, 129, 136, 200, 256, 300), seed=20261021)
+        reference = [reference_certificate(p) for p in huge]
+        assert [certify_mixture(p) for p in huge] == reference
+        table = WITNESSES[::9]
+        expected = reference + [reference_certificate(p) for p in table]
+        assert certify_mixtures(huge + table) == expected
 
     def test_written_order_is_numpys_row_sum(self):
         # _ordered_sum adds the rows of a (K, n) array in the order that
