@@ -153,7 +153,11 @@ class ErfMinOutcome:
     a residual with no interior critical point.  spread = osc(j) +
     error_budget is the part of the numerator that does not depend on c,
     so value equals (spread + c * a) / f1(c) exactly.  A degenerate
-    outcome certifies nothing: its spread and value are inf.
+    outcome certifies nothing: its spread and value are inf.  to_dict
+    writes a value that is not finite, which strict JSON cannot hold, as
+    None: every degenerate outcome's, and also a bound that overflowed
+    (c near 0, or c * a past the largest float) on a kernel that is not
+    degenerate.
     """
 
     value: float
@@ -164,9 +168,8 @@ class ErfMinOutcome:
     spread: float
 
     def to_dict(self) -> dict:
-        # A degenerate outcome's value is inf, which strict JSON cannot hold.
         return {
-            "value": None if self.degenerate else self.value,
+            "value": self.value if math.isfinite(self.value) else None,
             "x1": self.x1,
             "x2": self.x2,
             "degenerate": self.degenerate,

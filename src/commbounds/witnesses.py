@@ -21,7 +21,9 @@ range keeps only its tightest bound, which leaves the feasible set as it
 is: the program has 4386 rows, not 6002.
 
 The first fit also presolves the program once with HiGHS, which drops
-70 more rows and keeps every column.  Each fit then runs in two stages,
+70 more rows and keeps every column; each row is named by its index, and
+presolve carries the names through, so they say which row of the
+program each presolved row is.  Each fit then runs in two stages,
 each on a new HiGHS instance with presolve off, so no solver state
 passes from one fit to the next: it solves the reduced program at its
 c, then runs the full program from that basis, lifted.  These are the
@@ -87,9 +89,7 @@ def _kept_rows():
     rounds to 1, so this drops 1616 of the 6002 rows.  The kept rows of
     each side stay in sample order, the u-side block first, in the form
     linprog builds: the matrix is 4386 x 122 (4.3 MB) and its rows are
-    distinct.  It is rebuilt on each call, so no copy of it stays
-    alive: `_witness_lp` keeps it in sparse form only and `_reduced_lp`
-    drops it once the row map is built.
+    distinct.  `_witness_lp` keeps it in sparse form only.
     """
     from scipy.special import erf
 
@@ -113,8 +113,10 @@ def _witness_lp():
     """The witness program with zero cost, as one HiGHS model.
 
     Its rows are `_kept_rows`, in sparse column form, with the bounds
-    (infinite ones as +-kHighsInf) in the form linprog builds.  Only the
-    cost depends on c, so a process builds this once, on its first fit.
+    (infinite ones as +-kHighsInf) in the form linprog builds; row k is
+    named str(k), so that `_reduced_lp` can map presolved rows back.
+    Only the cost depends on c, so a process builds this once, on its
+    first fit.
     scipy has no public API to load one program and solve it with
     several costs, or to presolve it once and restart from a basis;
     this uses `scipy.optimize._highspy._core`, the binding linprog
@@ -138,23 +140,8 @@ def _witness_lp():
     lp.col_upper_ = np.concatenate((np.full(n + 1, highs_core.kHighsInf), [0.0]))
     lp.row_lower_ = np.full(rhs.size, -highs_core.kHighsInf)
     lp.row_upper_ = rhs
+    lp.row_names_ = [str(k) for k in range(rhs.size)]
     return lp
-
-
-def _rows(lp) -> np.ndarray:
-    """The constraint matrix of a HiGHS program, dense.
-
-    The binding hands each of `a_matrix_`'s arrays back as a new Python
-    list, one object per entry (over 30 bytes each, against 8 or 4 in
-    numpy), so each list is converted to numpy and dropped before the
-    next is read.
-    """
-    from scipy.sparse import csc_array
-
-    a = lp.a_matrix_
-    value = np.array(a.value_)
-    index = np.array(a.index_, dtype=np.int32)
-    return csc_array((value, index, np.array(a.start_)), shape=(lp.num_row_, lp.num_col_)).toarray()
 
 
 def _highs(lp, c: float, presolve: str):
@@ -191,13 +178,9 @@ def _reduced_lp():
     nearly parallel to a kept one, tightens the bounds of 3 kept rows
     and keeps every column, at every cost tested (the tests compare
     three nodes).  So a process presolves once, at c = 1, on its first
-    fit.  The row map comes from the program's own dense rows, which
-    `_kept_rows` builds again for it and which are dropped once the map
-    is built: each presolved row is found there by its exact
-    coefficients, which are distinct.  So the first fit reads back from
-    HiGHS only the presolved matrix, 522,236 entries (see `_rows`), and
-    never the full program's.  A presolved row that is not a row of the
-    program raises NumericalFailure.
+    fit.  Presolve keeps each row's name, its index in `_witness_lp`, so
+    the row map is read from the names.  Names that do not give one
+    distinct row index per presolved row raise NumericalFailure.
     """
     from scipy.optimize._highspy import _core as highs_core
 
@@ -209,12 +192,9 @@ def _reduced_lp():
     ):
         raise NumericalFailure("HiGHS did not presolve the witness program")
     reduced = highs.getPresolvedLp()
-    del highs  # its presolve buffers go before the rows are read
-    presolved = _rows(reduced)
-    index = {row.tobytes(): k for k, row in enumerate(_kept_rows()[0])}
-    rows = [index.get(row.tobytes()) for row in presolved]
-    if None in rows:
-        raise NumericalFailure(f"row {rows.index(None)} of HiGHS's presolved witness program is not in the program")
+    rows = [int(name) for name in reduced.row_names_ if name.isdecimal()]
+    if len(rows) != reduced.num_row_ or len(set(rows)) != len(rows) or max(rows, default=0) >= _witness_lp().num_row_:
+        raise NumericalFailure("the row names of HiGHS's presolved witness program do not give one row index per row")
     return reduced, rows
 
 

@@ -139,7 +139,6 @@ class TestPhi:
         q = GaussianParams(0.5, 2.0)
         assert abs(phi(0.0, q) - math.log(2.0)) < 1e-15
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_phi_sign_matches_j_prime(self):
         # Sign agreement at 10^4 random points in (0, x_end).
         rng = np.random.default_rng(7)
@@ -189,7 +188,6 @@ class TestPhi:
         assert abs(x_end(GaussianParams(1.0, 2.0)) - 1.0) < 1e-15
         assert abs(x_end(GaussianParams(math.e, 1.0)) - (1.0 + math.sqrt(2.0))) < 1e-14
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_no_sign_change_beyond_x_end(self):
         # j' stays positive on [x_end, 10 x_end]: the bracket captures
         # every critical point.

@@ -72,6 +72,19 @@ class TestErfminCommand:
         assert payload["value"] is None
         assert payload["degenerate"] is True
 
+    @pytest.mark.parametrize("c, a, b", [("1e-320", "0.5", "0.5"), ("1e308", "2", "0.5")])
+    def test_overflowed_bound_prints_null(self, capsys, c, a, b):
+        # The kernel is not degenerate, but the bound overflows to inf.
+        code, out, _ = run(capsys, "erfmin", c, a, b)
+        assert code == 0
+        payload = json.loads(out, parse_constant=pytest.fail)
+        expected = erf_min_bound(float(c), GaussianParams(float(a), float(b)))
+        assert math.isinf(expected.value)
+        assert payload["value"] is None
+        assert payload["degenerate"] is False
+        assert payload["x1"] == expected.x1
+        assert payload["x2"] == expected.x2
+
     def test_non_positive_c_is_usage_error(self, capsys):
         code, _, err = run(capsys, "erfmin", "0", "0.75", "0.45")
         assert code == 1

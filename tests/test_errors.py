@@ -17,7 +17,7 @@ from commbounds import approx, cli, formulas, matrixlab, optimize, stitch, witne
 from commbounds.approx import CommboundsError, NumericalFailure
 from commbounds.cli import main
 from commbounds.stitch import gamma_half_via_Cc
-from commbounds.witnesses import FIT_NODES, fit_witness
+from commbounds.witnesses import FIT_NODES, fit_witness, load_witnesses
 
 # Each exported exception class and the builtin base it keeps.
 BUILTIN_BASES = {
@@ -153,45 +153,61 @@ class TestWitnessFitFailure:
         assert list(tmp_path.iterdir()) == []
 
 
-class _ChangedPresolveHighs:
-    """A HiGHS instance whose presolved program has one coefficient one ulp off the program's."""
+class _PresolveHighs:
+    """A HiGHS instance that hands out its presolved program after `change` has edited it."""
 
-    def __init__(self):
+    def __init__(self, change):
         self._highs = _REAL_HIGHS()
+        self._change = change
 
     def __getattr__(self, name):
         return getattr(self._highs, name)
 
     def getPresolvedLp(self):
         lp = self._highs.getPresolvedLp()
-        value = np.array(lp.a_matrix_.value_)
-        value[0] = np.nextafter(value[0], np.inf)  # the first entry of column 0, in row 0
-        lp.a_matrix_.value_ = value
+        self._change(lp)
         return lp
 
 
-class TestPresolvedRowNotInProgram:
+def _clear_row_names(lp):
+    lp.row_names_ = []
+
+
+def _move_one_coefficient(lp):
+    value = np.array(lp.a_matrix_.value_)
+    value[0] = np.nextafter(value[0], np.inf)  # the first entry of column 0, in row 0
+    lp.a_matrix_.value_ = value
+
+
+class TestPresolvedRowMap:
     @pytest.fixture(autouse=True)
-    def changed_presolve(self, monkeypatch):
+    def empty_cache(self, monkeypatch):
         # fit_witness sees an empty _reduced_lp cache, so it presolves
         # under the fake; monkeypatch puts the original cache, with what
         # it holds, back afterwards.
         monkeypatch.setattr(witnesses, "_reduced_lp", functools.cache(witnesses._reduced_lp.__wrapped__))
-        monkeypatch.setattr(highs_core, "_Highs", _ChangedPresolveHighs)
 
-    def test_fit_is_refused_with_the_cause(self):
+    def test_lost_row_names_refuse_the_fit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(highs_core, "_Highs", lambda: _PresolveHighs(_clear_row_names))
         c = float(FIT_NODES[0])
         with pytest.raises(NumericalFailure) as info:
             fit_witness(c)
         assert str(info.value) == f"HiGHS did not accept the witness program at c = {c!r}"
         assert isinstance(info.value.__cause__, NumericalFailure)
-        assert str(info.value.__cause__) == "row 0 of HiGHS's presolved witness program is not in the program"
-
-    def test_fit_witnesses_exits_two(self, capsys, monkeypatch, tmp_path):
+        assert str(info.value.__cause__) == (
+            "the row names of HiGHS's presolved witness program do not give one row index per row"
+        )
         monkeypatch.setattr(witnesses, "FIT_NODES", FIT_NODES[:1])
         out = tmp_path / "table.json"
         assert main(["fit-witnesses", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: HiGHS did not accept the witness program at c = {float(FIT_NODES[0])!r}\n"
+        assert captured.err == f"error: HiGHS did not accept the witness program at c = {c!r}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_presolved_coefficients_do_not_decide_the_map(self, monkeypatch):
+        # The map is read from the row names, so a presolved coefficient one
+        # ulp off the program's neither refuses the fit nor changes it: the
+        # full program, solved from the lifted basis, sets the weights.
+        monkeypatch.setattr(highs_core, "_Highs", lambda: _PresolveHighs(_move_one_coefficient))
+        assert fit_witness(float(FIT_NODES[0])) == load_witnesses()[0]

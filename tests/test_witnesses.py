@@ -426,8 +426,9 @@ class TestFitWitness:
                 assert np.array_equal(getattr(presolved, bound), getattr(reduced, bound)), (k, bound)
 
     # tracemalloc's peak while _reduced_lp builds the row map, in MiB: about
-    # 23 when only the presolved matrix is read back from HiGHS, about 45.5
-    # when the full program's is read back too.
+    # 0.39 now that the map is read from the row names, about 23 when the
+    # presolved matrix was read back from HiGHS, about 45.5 when the full
+    # program's was read back too.
     ROW_MAP_PEAK_MIB = 35
 
     def test_row_map_reads_back_only_the_presolved_matrix(self, tmp_path):
