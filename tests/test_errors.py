@@ -179,16 +179,18 @@ def _move_one_coefficient(lp):
     lp.a_matrix_.value_ = value
 
 
-class TestPresolvedRowMap:
+class TestPresolvedRowNotInProgram:
+    # A presolved program whose row names are lost gives no row of the
+    # program for its rows, so the fit is refused with that as the cause.
     @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
+    def lost_row_names(self, monkeypatch):
         # fit_witness sees an empty _reduced_lp cache, so it presolves
         # under the fake; monkeypatch puts the original cache, with what
         # it holds, back afterwards.
         monkeypatch.setattr(witnesses, "_reduced_lp", functools.cache(witnesses._reduced_lp.__wrapped__))
-
-    def test_lost_row_names_refuse_the_fit(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(highs_core, "_Highs", lambda: _PresolveHighs(_clear_row_names))
+
+    def test_fit_is_refused_with_the_cause(self):
         c = float(FIT_NODES[0])
         with pytest.raises(NumericalFailure) as info:
             fit_witness(c)
@@ -197,17 +199,24 @@ class TestPresolvedRowMap:
         assert str(info.value.__cause__) == (
             "the row names of HiGHS's presolved witness program do not give one row index per row"
         )
+
+    def test_fit_witnesses_exits_two(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(witnesses, "FIT_NODES", FIT_NODES[:1])
         out = tmp_path / "table.json"
         assert main(["fit-witnesses", "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: HiGHS did not accept the witness program at c = {c!r}\n"
+        assert captured.err == f"error: HiGHS did not accept the witness program at c = {float(FIT_NODES[0])!r}\n"
         assert list(tmp_path.iterdir()) == []
 
+
+class TestPresolvedRowMap:
     def test_presolved_coefficients_do_not_decide_the_map(self, monkeypatch):
         # The map is read from the row names, so a presolved coefficient one
         # ulp off the program's neither refuses the fit nor changes it: the
         # full program, solved from the lifted basis, sets the weights.
+        # fit_witness sees an empty _reduced_lp cache, so it presolves
+        # under the fake; monkeypatch puts the original cache back afterwards.
+        monkeypatch.setattr(witnesses, "_reduced_lp", functools.cache(witnesses._reduced_lp.__wrapped__))
         monkeypatch.setattr(highs_core, "_Highs", lambda: _PresolveHighs(_move_one_coefficient))
         assert fit_witness(float(FIT_NODES[0])) == load_witnesses()[0]
