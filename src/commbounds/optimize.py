@@ -7,11 +7,13 @@ accept the first strict improvement, expand the step on success and
 shrink it on failure, and stop when the step falls below a floor or the
 evaluation budget runs out.  The grid driver chains warm starts from one
 node to the next (the minimizer moves slowly in c).  Only the c * a term
-of the bound depends on c, so one grid search remembers the
-c-independent spread of every (a, b) it has evaluated and scores every
-poll, first or repeated, from that spread; a node's constant is the
-score of its winning parameters, which is erf_min_bound's value there
-bit for bit.
+of the bound depends on c, so the grid search polls (a, b) tuples with
+pattern_search_nd, remembers the c-independent spread that approx's
+bare-float kernel _erf_min gives for every pair it has evaluated, and
+scores every poll, first or repeated, from that spread; a node's
+constant is the score of its winning parameters, which is
+erf_min_bound's value there bit for bit.  pattern_search, the same
+search over GaussianParams, is kept for callers that score kernels.
 
 `certify_grid` and `hull_constant` read one envelope (`_envelope`): the
 lines osc + t L of the committed Gaussian-mixture witnesses and of two
@@ -36,9 +38,10 @@ from commbounds.approx import (
     MixtureParams,
     NoSignChange,
     RootValidationFailed,
+    _erf_min,
     certify_mixture,  # noqa: F401 -- perfbench/spans.py traces it under this module
     certify_mixtures,
-    erf_min_bound,
+    erf_min_bound,  # noqa: F401 -- perfbench/spans.py traces it under this module
     f1,
     node_value,
 )
@@ -191,28 +194,30 @@ def _certify_node(
 ) -> BoundPoint:
     """Search from the given start and report the winning parameters.
 
-    spreads maps (a, b) to ErfMinOutcome.spread, which is inf for a
-    degenerate pair, and to inf for a rejected one; it is only valid for
-    positive finite c.  Every poll scores (spread + c * a) / f1(c), the
-    operations erf_min_bound performs, so a score is the bound itself bit
-    for bit and the search path does not depend on what spreads already
-    holds.  The pattern search evaluates its start, so the winner's score
-    is in spreads; the node is degenerate exactly when that score is inf.
+    The search polls (a, b) tuples.  spreads maps each to the spread of
+    the kernel _erf_min, which is inf for a degenerate pair, and to inf
+    for a rejected one; it is only valid for positive finite c.  Every
+    poll scores (spread + c * a) / f1(c), the operations erf_min_bound
+    performs, so a score is the bound itself bit for bit and the search
+    path does not depend on what spreads already holds.  The pattern
+    search evaluates its start, so the winner's score is in spreads; the
+    node is degenerate exactly when that score is inf.  The winner is the
+    node's one GaussianParams.
     """
     scale = f1(c)
 
-    def score(params: GaussianParams) -> float:
-        key = (params.a, params.b)
-        if key not in spreads:
+    def score(point: tuple[float, float]) -> float:
+        spread = spreads.get(point)
+        if spread is None:
             try:
-                spreads[key] = erf_min_bound(c, params).spread
+                spread = _erf_min(*point)[0]
             except (RootValidationFailed, DomainViolation, NoSignChange):
-                spreads[key] = math.inf
-        return (spreads[key] + c * params.a) / scale
+                spread = math.inf
+            spreads[point] = spread
+        return (spread + c * point[0]) / scale
 
-    best = pattern_search(score, GaussianParams(*start))
-    value = score(best)
-    return BoundPoint(c, value, best)
+    best = pattern_search_nd(score, start, lower=_LOWER_BOUNDS)
+    return BoundPoint(c, score(best), GaussianParams(*best))
 
 
 def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:

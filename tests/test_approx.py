@@ -360,6 +360,12 @@ def reference_erf_min_bound(c, params):
     return ErfMinOutcome((spread + c * a) / f1(c), x1, x2, budget, False, spread)
 
 
+def reference_kernel(a, b):
+    """(spread, x1, x2) of reference_erf_min_bound, whose spread does not depend on c."""
+    out = reference_erf_min_bound(1.0, GaussianParams(a, b))
+    return out.spread, out.x1, out.x2
+
+
 def result_or_error(func, *args):
     """repr of func's result (floats to the bit) or its error, with any warnings."""
     with warnings.catch_warnings(record=True) as caught:
@@ -464,17 +470,47 @@ class TestErfMinBound:
 
     def test_matches_reference_on_grid_search_polls(self, monkeypatch):
         polled = []
+        kernel = approx._erf_min
 
-        def recorded(c, params):
-            polled.append((c, params))
-            return erf_min_bound(c, params)
+        def recorded(a, b):
+            polled.append((a, b))
+            return kernel(a, b)
 
-        monkeypatch.setattr(optimize, "erf_min_bound", recorded)
+        monkeypatch.setattr(optimize, "_erf_min", recorded)
         optimize.optimize_grid(optimize.build_paper_grid()[7::50])
         assert len(polled) > 1000
-        for c, p in polled:
-            expected = result_or_error(reference_erf_min_bound, c, p)
-            assert result_or_error(erf_min_bound, c, p) == expected, (c, p)
+        for a, b in polled:
+            expected = result_or_error(reference_kernel, a, b)
+            assert result_or_error(kernel, a, b) == expected, (a, b)
+            for c in (0.0195, 1.0, 40.0):
+                p = GaussianParams(a, b)
+                expected = result_or_error(reference_erf_min_bound, c, p)
+                assert result_or_error(erf_min_bound, c, p) == expected, (c, p)
+
+    def test_kernel_matches_reference(self):
+        # The bare-float kernel that the grid search polls gives the spread
+        # and critical points, or the error, of the public helpers, bit for
+        # bit.  A quarter of the amplitudes sit just below one, where the
+        # maximum of j nears the origin and its window leaves the domain.
+        rng = np.random.default_rng(33)
+        kinds = []
+        for k in range(3200):
+            if k % 4:
+                a = float(10.0 ** rng.uniform(-5.0, math.log10(30.0)))
+            else:
+                a = 1.0 - float(10.0 ** rng.uniform(-7.0, -3.0))
+            b = float(10.0 ** rng.uniform(-8.0, 4.0))
+            expected = result_or_error(reference_kernel, a, b)
+            assert result_or_error(approx._erf_min, a, b) == expected, (a, b)
+            if expected[0][0] == "raised":
+                kinds.append(expected[0][1])
+            elif expected[0][1].startswith("(inf, None, None)"):
+                kinds.append("degenerate")
+            else:
+                kinds.append("no x1" if ", None, " in expected[0][1] else "x1")
+        counts = {kind: kinds.count(kind) for kind in set(kinds)}
+        for kind in ("x1", "no x1", "degenerate", RootValidationFailed, DomainViolation):
+            assert counts.get(kind, 0) >= 20, counts
 
     def test_small_amplitude_has_two_roots(self):
         p = GaussianParams(0.6, 1.0)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commbounds import optimize
+from commbounds import approx, optimize
 from commbounds.approx import (
     DomainViolation,
     GaussianParams,
@@ -48,30 +48,31 @@ def penalized_bound(c):
 
 
 def recorded_search(record):
-    """pattern_search that appends every (params, value) it polls to a new list in record."""
+    """pattern_search_nd that appends every (point, value) it polls to a new list in record."""
 
-    def search(objective, start):
+    def search(objective, start, lower=None, upper=None):
         seen = []
         record.append(seen)
 
-        def spy(params):
-            value = objective(params)
-            seen.append((params, value))
+        def spy(point):
+            value = objective(point)
+            seen.append((point, value))
             return value
 
-        return pattern_search(spy, start)
+        return pattern_search_nd(spy, start, lower, upper)
 
     return search
 
 
 def reference_grid(grid):
-    """optimize_grid without the memo: erf_min_bound on every poll.
+    """optimize_grid without the memo: pattern_search and erf_min_bound on every poll.
 
-    Returns the points and, per node, every (params, value) the search polled.
+    Returns the points and, per node, every ((a, b), value) the search polled.
     """
     points, polls, start = [], [], GaussianParams(0.9, 0.5)
-    search = recorded_search(polls)
     for c in grid:
+        seen = []
+        polls.append(seen)
 
         def objective(params, c=c):
             try:
@@ -79,7 +80,12 @@ def reference_grid(grid):
             except (RootValidationFailed, DomainViolation, NoSignChange):
                 return math.inf
 
-        best = search(objective, start)
+        def spy(params, objective=objective, seen=seen):
+            value = objective(params)
+            seen.append(((params.a, params.b), value))
+            return value
+
+        best = pattern_search(spy, start)
         value = objective(best)
         points.append(BoundPoint(c, value, best))
         start = best
@@ -439,10 +445,10 @@ class TestOptimizeGrid:
         assert optimize_grid([]) == []
 
     def test_rejected_certification_is_reported(self, monkeypatch):
-        def rejected(c, params):
+        def rejected(a, b):
             raise RootValidationFailed("stub rejection")
 
-        monkeypatch.setattr(optimize, "erf_min_bound", rejected)
+        monkeypatch.setattr(optimize, "_erf_min", rejected)
         (point,) = optimize_grid([1.0])
         assert point.degenerate
         assert point.C_k == math.inf
@@ -464,11 +470,12 @@ class TestOptimizeGrid:
         assert hashlib.sha256(repr(records).encode()).hexdigest() == digest
 
     def test_degenerate_certification_is_reported(self, monkeypatch):
-        def degenerate(c, params):
-            return erf_min_bound(c, GaussianParams(0.01, 1.0))
+        def degenerate(a, b):
+            return approx._erf_min(0.01, 1.0)
 
-        assert degenerate(1.0, None).degenerate
-        monkeypatch.setattr(optimize, "erf_min_bound", degenerate)
+        assert erf_min_bound(1.0, GaussianParams(0.01, 1.0)).degenerate
+        assert degenerate(0.9, 0.5) == (math.inf, None, None)
+        monkeypatch.setattr(optimize, "_erf_min", degenerate)
         (point,) = optimize_grid([1.0])
         assert point.degenerate
         assert point.C_k == math.inf
@@ -480,18 +487,20 @@ class TestOptimizeGridMemo:
 
     The memoised search must poll the same parameters, see the same values
     bit for bit and return the same points as a search that runs
-    erf_min_bound on every poll.
+    erf_min_bound on every poll.  memo_grid records the kernel's calls
+    and the polls of pattern_search_nd.
     """
 
     def memo_grid(self, monkeypatch, grid):
         polls, evaluated = [], []
+        kernel = approx._erf_min
 
-        def counted(c, params):
-            evaluated.append((c, params))
-            return erf_min_bound(c, params)
+        def counted(a, b):
+            evaluated.append((a, b))
+            return kernel(a, b)
 
-        monkeypatch.setattr(optimize, "pattern_search", recorded_search(polls))
-        monkeypatch.setattr(optimize, "erf_min_bound", counted)
+        monkeypatch.setattr(optimize, "pattern_search_nd", recorded_search(polls))
+        monkeypatch.setattr(optimize, "_erf_min", counted)
         points = optimize_grid(grid)
         return points, polls, evaluated
 
@@ -507,14 +516,14 @@ class TestOptimizeGridMemo:
         # Rejected pairs are remembered too, and most polls are repeats:
         # each distinct pair is evaluated once, the winners included.
         assert values.count(math.inf) > 0.05 * len(values)
-        assert len(evaluated) == len({(p.a, p.b) for seen in polls for p, _ in seen})
+        assert len(evaluated) == len({point for seen in polls for point, _ in seen})
         assert len(evaluated) < 0.6 * len(values)
 
     def test_memo_does_not_outlive_the_call(self, monkeypatch):
         grid = [0.8, 1.0, 1.3]
         _, _, first = self.memo_grid(monkeypatch, grid)
         _, _, second = self.memo_grid(monkeypatch, grid)
-        assert first == second
+        assert first and first == second
 
 
 class TestCertifyGrid:
