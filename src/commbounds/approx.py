@@ -11,10 +11,11 @@ normalized approximation functional at that point.
 Critical points of j are located through the sign-equivalent function
 phi(x) = b * x^2 - 2 * log(x + 1) - log(a), which is strictly convex on
 (-1, inf) and therefore easy to bracket, and every root is re-validated
-directly on j' before it is used.  The grid search polls the private
-kernel _erf_min, which does all of this on bare floats and returns the
+directly on j' before it is used.  Each of these formulas is written
+once, on bare floats, and both the public helpers and the private kernel
+_erf_min call it.  The grid search polls that kernel, which returns the
 c-independent part of the numerator with the critical points;
-erf_min_bound is that kernel behind one check of c.
+erf_min_bound is the kernel behind one check of c.
 
 The same functional is certified for Gaussian mixtures: when
 g'(x) = sum_k w_k exp(-b_k x^2) with every w_k >= 0, g' is positive
@@ -51,9 +52,6 @@ __all__ = [
     "MixtureCertificate",
     "ErfMinOutcome",
     "f1",
-    "gauss",
-    "gauss_mass",
-    "g_erf",
     "j_func",
     "j_prime",
     "j_limit",
@@ -187,37 +185,21 @@ def f1(x: float) -> float:
     return x / (x + 1.0)
 
 
-def gauss(x: float, params: GaussianParams) -> float:
-    """Evaluate the Gaussian kernel a * exp(-b * x^2)."""
-    return params.a * math.exp(-params.b * x * x)
-
-
-def gauss_mass(params: GaussianParams) -> float:
-    """Return the half-line integral of the kernel, (a / 2) * sqrt(pi / b)."""
-    return 0.5 * params.a * math.sqrt(math.pi / params.b)
-
-
-def g_erf(x: float, params: GaussianParams) -> float:
-    """Evaluate the kernel antiderivative (a / 2) * sqrt(pi / b) * erf(sqrt(b) * x)."""
-    return gauss_mass(params) * math.erf(math.sqrt(params.b) * x)
-
-
 def j_func(x: float, params: GaussianParams) -> float:
     """Evaluate the residual j(x) = f1(x) - g(x)."""
-    return f1(x) - g_erf(x, params)
+    return _residual(params.a, params.b)[0](x)
 
 
 def j_prime(x: float, params: GaussianParams) -> float:
     """Evaluate j'(x) = 1 / (x + 1)^2 - a * exp(-b * x^2)."""
     if x <= -1.0:
         raise DomainViolation(f"j_prime requires x > -1, got {x!r}")
-    u = x + 1.0
-    return 1.0 / (u * u) - gauss(x, params)
+    return _j_prime(x, params.a, params.b)
 
 
 def j_limit(params: GaussianParams) -> float:
     """Return the limit of j at infinity, 1 - (a / 2) * sqrt(pi / b)."""
-    return 1.0 - gauss_mass(params)
+    return _residual(params.a, params.b)[1]
 
 
 def phi(x: float, params: GaussianParams) -> float:
@@ -229,7 +211,7 @@ def phi(x: float, params: GaussianParams) -> float:
     """
     if x <= -1.0:
         raise DomainViolation(f"phi requires x > -1, got {x!r}")
-    return params.b * x * x - 2.0 * math.log1p(x) - math.log(params.a)
+    return _phi(params.b, math.log(params.a))(x)
 
 
 def x_star(b: float) -> float:
@@ -249,15 +231,46 @@ def x_end(params: GaussianParams) -> float:
     gets here, as 1/b = x*^2 + x* then gives phi(x*) > x*^3/(1 + x*) > 0.
     The seed is doubled (at most 60 times) until phi is strictly positive.
     """
-    a, b = params.a, params.b
-    radicand = 1.0 + b * math.log(a)
+    log_a = math.log(params.a)
+    return _x_end(_phi(params.b, log_a), params.b, log_a)
+
+
+def _phi(b: float, log_a: float) -> Callable[[float], float]:
+    """phi on bare floats for x > -1, as a closure over b and log(a), taken once."""
+    log1p = math.log1p
+
+    def sign_func(x: float) -> float:
+        return b * x * x - 2.0 * log1p(x) - log_a
+
+    return sign_func
+
+
+def _x_end(sign_func: Callable[[float], float], b: float, log_a: float) -> float:
+    """x_end's seed and doubling, with phi given as sign_func."""
+    radicand = 1.0 + b * log_a
     shift = math.sqrt(radicand) if radicand > 0.0 else 0.0
     point = (1.0 + shift) / b
     for _ in range(61):
-        if phi(point, params) > 0.0:
+        if sign_func(point) > 0.0:
             return point
         point *= 2.0
     raise NoSignChange("phi stayed nonpositive along the entire doubling sequence")
+
+
+def _j_prime(x: float, a: float, b: float) -> float:
+    """j'(x) = 1 / (x + 1)^2 - a * exp(-b * x^2) on bare floats, for x > -1."""
+    u = x + 1.0
+    return 1.0 / (u * u) - a * math.exp(-b * x * x)
+
+
+def _residual(a: float, b: float) -> tuple[Callable[[float], float], float]:
+    """j = f1 - g as a closure, and j(inf) = 1 - g(inf), with g(inf) = (a / 2) * sqrt(pi / b)."""
+    mass, root_b = 0.5 * a * math.sqrt(math.pi / b), math.sqrt(b)
+
+    def j(x: float) -> float:
+        return f1(x) - mass * math.erf(root_b * x)
+
+    return j, 1.0 - mass
 
 
 def bracketed_root(func: Callable[[float], float], lo: float, hi: float) -> float:
@@ -336,19 +349,13 @@ def _validate_extremum(root: float, a: float, b: float, sign: float) -> None:
     """Confirm a local minimum (sign = 1) or maximum (sign = -1) of j at root.
 
     sign * j' must be at most -_COMP_TOL at root - _ROOT_TOL and at least
-    _COMP_TOL at root + _ROOT_TOL.  j' is j_prime's 1 / (x + 1)^2 -
-    a * exp(-b * x^2) on bare floats, in its order; its domain check is
-    dropped, as the window starts at _COMP_TOL or later.
+    _COMP_TOL at root + _ROOT_TOL.  The window must start at _COMP_TOL or
+    later, so both of its edges lie in j's domain.
     """
     t, eps = _ROOT_TOL, _COMP_TOL
     if root - t < eps:
         raise DomainViolation(f"validation window around {root!r} leaves the domain")
-    lo, hi = root - t, root + t
-    u, v = lo + 1.0, hi + 1.0
-    if not (
-        sign * (1.0 / (u * u) - a * math.exp(-b * lo * lo)) <= -eps
-        and sign * (1.0 / (v * v) - a * math.exp(-b * hi * hi)) >= eps
-    ):
+    if not (sign * _j_prime(root - t, a, b) <= -eps and sign * _j_prime(root + t, a, b) >= eps):
         kind = "minimum" if sign > 0.0 else "maximum"
         raise RootValidationFailed(f"derivative signs around {root!r} do not confirm a local {kind}")
 
@@ -358,45 +365,29 @@ def _erf_min(a: float, b: float) -> tuple[float, float | None, float | None]:
 
     a and b must be positive and finite, as GaussianParams checks them.
     Returns (spread, x1, x2): (inf, None, None) for a degenerate kernel,
-    and x1 = None when a >= 1.  Each step is the public helper it stands
-    for (x_star, phi, x_end's seed and doubling, j_prime, j_func,
-    j_limit) written out on floats, with its operations in its order, so
-    every float, exception and message is the helpers' bit for bit; the
-    helpers' domain checks are dropped, as every point they would see
-    lies in [0, inf).  Brent's sign function is phi as a closure over b
-    and log(a), taken once.
+    and x1 = None when a >= 1.  It is built from the statements that the
+    public helpers phi, x_star, x_end, j_prime, j_func and j_limit wrap,
+    so every float, exception and message is theirs; only log(a) is
+    taken once and shared by phi and x_end's seed.
     """
-    log_a, log1p = math.log(a), math.log1p
-
-    def sign_func(x: float) -> float:
-        return b * x * x - 2.0 * log1p(x) - log_a
-
-    xs = 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 / b))
+    log_a = math.log(a)
+    sign_func = _phi(b, log_a)
+    xs = x_star(b)
     if sign_func(xs) >= 0.0:
         return math.inf, None, None
 
-    radicand = 1.0 + b * log_a
-    shift = math.sqrt(radicand) if radicand > 0.0 else 0.0
-    end = (1.0 + shift) / b
-    for _ in range(61):
-        if sign_func(end) > 0.0:
-            break
-        end *= 2.0
-    else:
-        raise NoSignChange("phi stayed nonpositive along the entire doubling sequence")
-
-    x2 = bracketed_root(sign_func, xs, end)
+    x2 = bracketed_root(sign_func, xs, _x_end(sign_func, b, log_a))
     _validate_extremum(x2, a, b, 1.0)
-    mass, root_b = 0.5 * a * math.sqrt(math.pi / b), math.sqrt(b)
+    j, limit = _residual(a, b)
     if a < 1.0:
         x1 = bracketed_root(sign_func, 0.0, xs)
         _validate_extremum(x1, a, b, -1.0)
-        high = max(x1 / (x1 + 1.0) - mass * math.erf(root_b * x1), 1.0 - mass)
-        low = min(0.0, x2 / (x2 + 1.0) - mass * math.erf(root_b * x2))
+        high = max(j(x1), limit)
+        low = min(0.0, j(x2))
     else:
         x1 = None
-        high = max(0.0, 1.0 - mass)
-        low = x2 / (x2 + 1.0) - mass * math.erf(root_b * x2)
+        high = max(0.0, limit)
+        low = j(x2)
     return (high - low) + _error_budget(a), x1, x2
 
 

@@ -55,7 +55,8 @@ class NotHermitian(ValueError, CommboundsError):
 
 
 class BadParameter(ValueError, CommboundsError):
-    """Norm parameter out of range (Ky Fan k, Schatten p)."""
+    """A norm or campaign setting of the wrong type, or a norm parameter out
+    of range (Ky Fan k, Schatten p)."""
 
 
 class SpectralRadiusTooLarge(ValueError, CommboundsError):
@@ -451,10 +452,21 @@ class CampaignConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
+        # bool is an int, and a float count runs: each would be recorded in
+        # the report as given.  A numpy integer is stored as int.
+        for name in ("n_max", "trials", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise BadParameter(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.norm, NormKind):
+            raise BadParameter(f"norm must be a NormKind, got {type(self.norm).__name__} {self.norm!r}")
         if self.n_max < 2:
             raise DomainViolation(f"n_max must be >= 2, got {self.n_max}")
         if self.trials < 1:
             raise DomainViolation(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise DomainViolation(f"seed must be >= 0, got {self.seed}")
         if self.threads < 1:
             raise DomainViolation(f"threads must be >= 1, got {self.threads}")
         if self.norm.tag == "kyfan" and self.norm.k > self.n_max:

@@ -13,7 +13,8 @@ bare-float kernel _erf_min gives for every pair it has evaluated, and
 scores every poll, first or repeated, from that spread; a node's
 constant is the score of its winning parameters, which is
 erf_min_bound's value there bit for bit.  pattern_search, the same
-search over GaussianParams, is kept for callers that score kernels.
+search over GaussianParams, has no caller in this package; only its
+tests and the benchmark's span table (perfbench/spans.py) use it.
 
 `certify_grid` and `hull_constant` read one envelope (`_envelope`): the
 lines osc + t L of the committed Gaussian-mixture witnesses and of two

@@ -19,9 +19,6 @@ from commbounds.approx import (
     bracketed_root,
     erf_min_bound,
     f1,
-    g_erf,
-    gauss,
-    gauss_mass,
     j_func,
     j_limit,
     j_prime,
@@ -76,31 +73,24 @@ class TestBasics:
         assert approx._MAX_ITER == 200
         assert 0.0 < approx._COMP_TOL < approx._ROOT_TOL
 
-    def test_gauss_and_mass(self):
+    def test_j_limit_and_slope(self):
+        # j' = f1' - g' with g'(x) = a exp(-b x^2), and j(inf) = 1 - g(inf).
         p = GaussianParams(2.0, 3.0)
-        assert gauss(0.0, p) == 2.0
-        assert abs(gauss(1.0, p) - 2.0 * math.exp(-3.0)) < 1e-15
-        assert abs(gauss_mass(p) - math.sqrt(math.pi / 3.0)) < 1e-15
+        assert j_prime(0.0, p) == -1.0
+        assert abs(j_prime(1.0, p) - (0.25 - 2.0 * math.exp(-3.0))) < 1e-15
         assert abs(j_limit(p) - (1.0 - math.sqrt(math.pi / 3.0))) < 1e-15
 
 
 class TestErfAntiderivative:
+    # g = f1 - j is the kernel mass times erf(sqrt(b) x).
     def test_erf_basics(self):
-        # g_erf is the kernel mass times erf: zero at 0, odd, saturating.
+        # g is zero at 0 and saturates at the mass g(inf) = 1 - j(inf).
         for p in (GaussianParams(1.0, 1.0), GaussianParams(0.7, 2.5)):
-            mass = gauss_mass(p)
-            assert g_erf(0.0, p) == 0.0
-            assert abs(g_erf(6.0, p) - mass) < 1e-14
-            for x in (0.3, 1.1, 2.4):
-                assert g_erf(-x, p) == -g_erf(x, p)
+            assert j_func(0.0, p) == 0.0
+            assert abs((f1(6.0) - j_func(6.0, p)) - (1.0 - j_limit(p))) < 1e-14
         assert abs(math.erf(1.0) - 0.8427007929497149) < 1e-14
 
-    def test_g_erf_frozen_value(self):
-        # (sqrt(pi) / 2) * erf(1), frozen from the quadrature oracle below.
-        p = GaussianParams(1.0, 1.0)
-        assert abs(g_erf(1.0, p) - 0.7468241328124271) < 1e-14
-
-    def test_g_erf_against_quadrature(self):
+    def test_g_against_quadrature(self):
         rng = np.random.default_rng(20260814)
         for _ in range(25):
             a = float(rng.uniform(0.1, 3.0))
@@ -111,15 +101,17 @@ class TestErfAntiderivative:
                 lambda t: a * math.exp(-b * t * t), 0.0, x, epsabs=1e-12, epsrel=1e-12
             )
             assert err < 1e-10
-            assert abs(g_erf(x, p) - val) < 1e-10
+            assert abs((f1(x) - j_func(x, p)) - val) < 1e-10
 
     def test_erf_against_series(self):
-        # g_erf takes erf from the standard library; check it independently.
+        # j takes erf from the standard library; check it independently.
         for x in np.linspace(0.0, 2.0, 41):
             assert abs(math.erf(float(x)) - erf_series(float(x))) < 1e-13
 
     def test_j_frozen_value(self):
-        # j(1) = 1/2 - (sqrt(pi)/2) * erf(1) for the unit kernel.
+        # j(1) = 1/2 - (sqrt(pi)/2) * erf(1) for the unit kernel, where
+        # g(1) = (sqrt(pi)/2) * erf(1) = 0.7468241328124271 is frozen from
+        # the quadrature oracle above.
         p = GaussianParams(1.0, 1.0)
         assert abs(j_func(1.0, p) - (-0.2468241328124271)) < 1e-14
 
@@ -197,6 +189,21 @@ class TestPhi:
             xe = x_end(p)
             for x in np.linspace(xe, 10.0 * xe, 500):
                 assert j_prime(float(x), p) > 0.0
+
+    def test_doubling_exhausts_without_a_sign_change(self):
+        # x_end and the kernel share the seed and its doubling; a sign
+        # function that never turns positive sees all 61 points and then
+        # NoSignChange.  With b = 2 and log(a) = 0 the seed is 1.
+        seen = []
+
+        def never_positive(x):
+            seen.append(x)
+            return -1.0
+
+        with pytest.raises(NoSignChange) as caught:
+            approx._x_end(never_positive, 2.0, 0.0)
+        assert str(caught.value) == "phi stayed nonpositive along the entire doubling sequence"
+        assert seen == [2.0**k for k in range(61)]
 
     def test_x_end_clamped_radicand(self):
         # b * log(a) < -1 clamps the square-root shift to zero, with no

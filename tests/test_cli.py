@@ -532,6 +532,13 @@ class TestVerifyCommand:
     def test_bad_trials_exits_two(self, capsys):
         assert run(capsys, "verify", "--trials", "0")[0] == 2
 
+    def test_negative_seed_exits_two(self, capsys):
+        # numpy's default_rng rejects a negative seed with a ValueError;
+        # the config refuses it first, as a CommboundsError.
+        code, out, err = run(capsys, "verify", "--trials", "10", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be >= 0, got -1\n"
+
 
 class TestCommandFlags:
     def test_seed_and_threads_belong_to_verify(self, capsys, tmp_path):

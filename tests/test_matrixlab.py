@@ -1223,6 +1223,17 @@ class TestCampaign:
         with pytest.raises(BadParameter):
             CampaignConfig(norm=NormKind.ky_fan(7))
         assert CampaignConfig(n_max=7, norm=NormKind.ky_fan(7)).n_max == 7
+        with pytest.raises(DomainViolation, match="seed must be >= 0, got -1"):
+            CampaignConfig(seed=-1)
+        # A bool or a float is not a count, though each would run.
+        for name in ("n_max", "trials", "seed", "threads"):
+            for bad in (True, 2.5, 3.0, "4", None):
+                with pytest.raises(BadParameter, match=f"^{name} must be an integer, got {type(bad).__name__} "):
+                    CampaignConfig(**{name: bad})
+            value = getattr(CampaignConfig(**{name: np.int64(3)}), name)
+            assert value == 3 and type(value) is int
+        with pytest.raises(BadParameter, match="^norm must be a NormKind, got str 'operator'$"):
+            CampaignConfig(norm="operator")
 
     def test_ky_fan_campaign_draws_n_at_least_k(self):
         # A 2 x 2 trial has no third singular value, so n is drawn from [3, n_max].
