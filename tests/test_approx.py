@@ -90,6 +90,11 @@ class TestErfAntiderivative:
             assert abs((f1(6.0) - j_func(6.0, p)) - (1.0 - j_limit(p))) < 1e-14
         assert abs(math.erf(1.0) - 0.8427007929497149) < 1e-14
 
+    def test_g_erf_frozen_value(self):
+        # g(1) = (sqrt(pi) / 2) * erf(1), frozen from the quadrature oracle below.
+        p = GaussianParams(1.0, 1.0)
+        assert abs((f1(1.0) - j_func(1.0, p)) - 0.7468241328124271) < 1e-14
+
     def test_g_against_quadrature(self):
         rng = np.random.default_rng(20260814)
         for _ in range(25):
@@ -109,9 +114,7 @@ class TestErfAntiderivative:
             assert abs(math.erf(float(x)) - erf_series(float(x))) < 1e-13
 
     def test_j_frozen_value(self):
-        # j(1) = 1/2 - (sqrt(pi)/2) * erf(1) for the unit kernel, where
-        # g(1) = (sqrt(pi)/2) * erf(1) = 0.7468241328124271 is frozen from
-        # the quadrature oracle above.
+        # j(1) = 1/2 - (sqrt(pi)/2) * erf(1) for the unit kernel.
         p = GaussianParams(1.0, 1.0)
         assert abs(j_func(1.0, p) - (-0.2468241328124271)) < 1e-14
 
