@@ -3,8 +3,10 @@
 Everything runs on small dense complex matrices.  Eigendecompositions
 and singular values come from LAPACK through numpy.linalg (eigh, svd);
 the unitary e^{iX} of the exponential checks is formed from X's
-spectrum.  On top of that sit the unitarily-invariant norm family, the
-conjecture ratio, the two criterion-6 checkers (exponential equivalence
+spectrum.  hermitian_eig converts a single Hermitian argument once and
+checks its shape, its entries and its skew with one adjoint and two
+np.vdot calls.  On top of that sit the unitarily-invariant norm family,
+the conjecture ratio, the two criterion-6 checkers (exponential equivalence
 and Jensen), the fixed counterexample report, and a seeded Monte-Carlo
 campaign that hunts for conjecture violations over random instances,
 evaluating the trials of each size as one stack.
@@ -88,24 +90,31 @@ def _as_square(A, name: str = "matrix") -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """m*, for a square complex m that passes ||m - m*|| <= 1e-12 ||m|| in
-    the Frobenius norm; any other m raises NotHermitian.
+    """m*, for a square complex m that is finite and passes
+    ||m - m*|| <= 1e-12 ||m|| in the Frobenius norm.
 
     This checks a single matrix, in the one pass that hermitian_eig makes
-    over it: the adjoint is returned so that the caller forms it once, and
-    both norms are numpy.linalg.norm's.  name is the argument's name in
-    the error message.  The campaign's stacks are not checked; they are
-    built Hermitian.
+    over it: the adjoint is returned so that the caller forms it once.
+    Both squared norms are np.vdot's, and that of m doubles as the
+    finiteness check: it is finite when every entry is, and otherwise
+    _as_matrix raises its error on a non-finite entry, or passes a finite
+    m whose squares overflow.  A non-Hermitian m raises NotHermitian;
+    name is the argument's name in both messages.  The campaign's stacks
+    are not checked; they are built Hermitian.
     """
+    squared_norm = np.vdot(m, m).real
+    if not math.isfinite(squared_norm):
+        _as_matrix(m, name)
     adjoint = m.conj().T
-    if np.linalg.norm(m - adjoint) > 1e-12 * np.linalg.norm(m):
+    skew = m - adjoint
+    if math.sqrt(np.vdot(skew, skew).real) > 1e-12 * math.sqrt(squared_norm):
         raise NotHermitian(f"{name} is not Hermitian within 1e-12 relative tolerance")
     return adjoint
 
 
 def _adjoint(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.conj(np.swapaxes(m, -1, -2))
+    return m.conj().swapaxes(-1, -2)
 
 
 def _eigh_hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -117,14 +126,20 @@ def hermitian_eig(A) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, eigenvectors) of a Hermitian matrix, as numpy.linalg.eigh
     gives them: ascending eigenvalues, and A = V diag(eigenvalues) V*.
 
-    The input must be Hermitian within 1e-12 relative Frobenius
-    tolerance; its Hermitian part (h + h*)/2 is decomposed, so roundoff
-    skew in the input does not reach the eigenvalues.  The adjoint h* is
-    formed once, for the check and for the Hermitian part.  This is the
-    path of a single matrix; stacks of them (the campaign) go through the
+    The input must be finite, square and Hermitian within 1e-12 relative
+    Frobenius tolerance; its Hermitian part (h + h*)/2 is decomposed, so
+    roundoff skew in the input does not reach the eigenvalues.  A is
+    converted once and taken through one pass: the shape is read off the
+    array (a bad one goes through _as_square for its error), and
+    _check_hermitian tests finiteness and skew and forms the adjoint h*
+    once, for the check and for the Hermitian part.  The errors and their
+    messages are _as_square's, then NotHermitian's.  This is the path of
+    a single matrix; stacks of them (the campaign) go through the
     vectorized _eigh_hermitian_part.
     """
-    h = _as_square(A)
+    h = np.asarray(A, dtype=np.complex128)
+    if h.ndim != 2 or not 1 <= h.shape[0] == h.shape[1]:
+        _as_square(h)  # raises its error on the shape or on a non-finite entry
     return np.linalg.eigh(0.5 * (h + _check_hermitian(h)))
 
 
@@ -133,14 +148,20 @@ def singular_values(X) -> np.ndarray:
     return np.linalg.svd(_as_matrix(X), compute_uv=False)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float; a bool, though an int, is not."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 @dataclass(frozen=True)
 class NormKind:
     """Selector for a unitarily-invariant norm: a Ky Fan or a Schatten norm.
 
     "operator" is Ky Fan k = 1, "trace" Ky Fan k = n, "hs" Schatten p = 2;
-    "kyfan" carries k and "schatten" p.  k is checked against the number
-    of singular values at evaluation; parse() inverts str(), which writes
-    p as the shortest decimal that reads back as p.
+    "kyfan" carries k, stored as int, and "schatten" p, stored as float; a
+    bool is neither.  k is checked against the number of singular values
+    at evaluation; parse() inverts str(), which writes p as the shortest
+    decimal that reads back as p.
     """
 
     tag: str
@@ -163,8 +184,13 @@ class NormKind:
         elif self.k is not None:
             raise BadParameter(f"k only applies to kyfan, got tag {self.tag!r}")
         if self.tag == "schatten":
-            if self.p is None or not math.isfinite(self.p) or self.p < 1.0:
+            # As with k: str() would write schatten:True or
+            # schatten:np.float64(2.5), which parse() does not read back.
+            if not _is_real(self.p):
+                raise BadParameter(f"Schatten p must be a real number, got {type(self.p).__name__} {self.p!r}")
+            if not math.isfinite(self.p) or self.p < 1.0:
                 raise BadParameter(f"Schatten p must be >= 1, got {self.p}")
+            object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
             raise BadParameter(f"p only applies to schatten, got tag {self.tag!r}")
 
@@ -178,7 +204,7 @@ class NormKind:
 
     @classmethod
     def schatten(cls, p: float) -> "NormKind":
-        return cls("schatten", p=float(p))
+        return cls("schatten", p=p)
 
     @classmethod
     def trace(cls) -> "NormKind":
@@ -299,11 +325,13 @@ def verify_conjecture_ratio(A, B, X, f: Callable[[float], float], kind: NormKind
     AX - XB.
 
     Each of A and B is converted once and taken through one pass:
-    hermitian_eig checks and decomposes it, and _f_spectrum checks the
-    spectrum PSD, clamps it at 0 and maps it by f in one loop over its
-    floats, so f sees A's spectrum before B's is checked and before the
-    shape of X is.  A stack of instances (the campaign) does not come
-    here; it keeps the vectorized path of _stack_ratios.
+    hermitian_eig checks and decomposes it (one call per side), and
+    _f_spectrum checks the spectrum PSD, clamps it at 0 and maps it by f
+    in one loop over its floats, so f sees A's spectrum before B's is
+    checked and before the shape of X is.  The three norms are read off
+    the svd stack as Python floats by one tolist().  A stack of instances
+    (the campaign) does not come here; it keeps the vectorized path of
+    _stack_ratios.
     """
     x = _as_matrix(X, "X")
     a = np.asarray(A, dtype=np.complex128)
@@ -315,7 +343,7 @@ def verify_conjecture_ratio(A, B, X, f: Callable[[float], float], kind: NormKind
         raise DomainViolation(f"X must be {len(lam)} x {len(mu)}, got {x.shape}")
     numerator_matrix = _eigenbasis_commutator(f_lam, u, f_mu, v, x)
     singulars = np.linalg.svd(np.array((x, numerator_matrix, a @ x - x @ b)), compute_uv=False)
-    nx, numerator, nk = (float(value) for value in _norm_from_singulars(singulars, kind))
+    nx, numerator, nk = _norm_from_singulars(singulars, kind).tolist()
     if nx == 0.0:
         raise ZeroDenominator("X has zero norm")
     denominator = nx * f(nk / nx)
@@ -453,14 +481,28 @@ class CampaignConfig:
 
     def __post_init__(self) -> None:
         # bool is an int, and a float count runs: each would be recorded in
-        # the report as given.  A numpy integer is stored as int.
+        # the report as given, as would a truthy flag or a numpy scalar.  A
+        # numpy integer is stored as int, a numpy bool as bool and a
+        # min_commutator as float.
         for name in ("n_max", "trials", "seed", "threads"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise BadParameter(f"{name} must be an integer, got {type(value).__name__} {value!r}")
             object.__setattr__(self, name, int(value))
+        for name in ("a_equals_b", "unit_norm_a"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise BadParameter(f"{name} must be a bool, got {type(value).__name__} {value!r}")
+            object.__setattr__(self, name, bool(value))
         if not isinstance(self.norm, NormKind):
             raise BadParameter(f"norm must be a NormKind, got {type(self.norm).__name__} {self.norm!r}")
+        if not isinstance(self.f, str):
+            raise BadParameter(f"f must be a str, got {type(self.f).__name__} {self.f!r}")
+        if self.min_commutator is not None:
+            if not _is_real(self.min_commutator):
+                value = self.min_commutator
+                raise BadParameter(f"min_commutator must be a real number, got {type(value).__name__} {value!r}")
+            object.__setattr__(self, "min_commutator", float(self.min_commutator))
         if self.n_max < 2:
             raise DomainViolation(f"n_max must be >= 2, got {self.n_max}")
         if self.trials < 1:

@@ -12,6 +12,7 @@ verify_conjecture_ratio.  The inequality checkers are exercised on random
 instances and on the fixed counterexample data.
 """
 
+import hashlib
 import json
 import math
 
@@ -358,6 +359,13 @@ class TestNormKind:
         for bad in ("spectral", "", "kyfan", "kyfan:2.5", "schatten:inf", "trace:1", "hilbert-schmidt:2"):
             with pytest.raises(BadParameter):
                 NormKind.parse(bad)
+        # p is stored as float, so a numpy or integer p reads back too.
+        for p, text in ((np.float64(2.5), "schatten:2.5"), (3, "schatten:3"), (np.int64(4), "schatten:4")):
+            kind = NormKind("schatten", p=p)
+            assert type(kind.p) is float and str(kind) == text and NormKind.parse(text) == kind
+        for bad in (True, np.bool_(True), "2", None):
+            with pytest.raises(BadParameter, match=f"^Schatten p must be a real number, got {type(bad).__name__} "):
+                NormKind("schatten", p=bad)
 
     def test_kyfan_out_of_range_at_evaluation(self):
         with pytest.raises(BadParameter):
@@ -1122,6 +1130,104 @@ class TestOnePassPieces:
             assert one_pass == clip and isinstance(clip, list)
 
 
+# The norms of the campaign benchmark's sweep; Ky Fan 2 raises BadParameter
+# on a 1 x k or k x 1 X, so the digest holds an error message too.
+DIGEST_KINDS = (
+    NormKind.operator(),
+    NormKind.ky_fan(2),
+    NormKind.schatten(3.0),
+    NormKind.trace(),
+    NormKind.hilbert_schmidt(),
+)
+DIGEST_SHAPES = [(n, n) for n in range(1, 7)] + [(n, 7 - n) for n in range(1, 7)]
+
+
+def _digest_record(outcome) -> str:
+    """An _outcome as text: a ratio as float.hex(), an error as its type
+    and message."""
+    if isinstance(outcome, tuple):
+        return f"{outcome[0].__name__}: {outcome[1]}"
+    return float(outcome).hex()
+
+
+def digest_ratio_calls():
+    """(A, B, X, f, kind) for every shape, four seeded draws, f1 and sqrt."""
+    rng = np.random.default_rng(83)
+    for rows, cols in DIGEST_SHAPES:
+        for _ in range(4):
+            a, b, x = random_psd(rng, rows), random_psd(rng, cols), random_complex(rng, rows, cols)
+            for f in (f1, math.sqrt):
+                for kind in DIGEST_KINDS:
+                    yield a, b, x, f, kind
+
+
+def digest_hermitian_matrices():
+    rng = np.random.default_rng(84)
+    for n in range(1, 7):
+        for _ in range(5):
+            yield random_hermitian(rng, n)
+            yield random_psd(rng, n)
+
+
+def _sha256(records: list[str]) -> str:
+    return hashlib.sha256("\n".join(records).encode()).hexdigest()
+
+
+class TestSinglePathDigest:
+    """hermitian_eig and verify_conjecture_ratio against digests recorded
+    before the single-matrix path checked its argument in one pass.
+
+    The digests pin numpy 2.4.6's LAPACK and BLAS (CI installs that
+    version); those kernels can differ in the last bits by CPU, as the
+    campaign step in CI notes, so each test first compares the live path
+    with a reference in this file, which runs on any machine.
+    """
+
+    RATIO_DIGEST = "23e85ba269c5096c1334500dd286b3982f1281a6972b71a4fa9792e077107915"
+    EIGENPAIR_DIGEST = "7d6232f04902002f450c18be41d7cf7f773460842f9ed789d1fd838ee83c8b84"
+
+    def test_ratios_and_errors(self):
+        records = []
+        for args in digest_ratio_calls():
+            outcome = _outcome(verify_conjecture_ratio, *args)
+            assert outcome == _outcome(reference_conjecture_ratio, *args)
+            records.append(_digest_record(outcome))
+        assert len(records) == len(DIGEST_SHAPES) * 4 * 2 * len(DIGEST_KINDS)
+        # Ky Fan 2 on the three shapes with one row or column.
+        assert sum(record.startswith("BadParameter: ") for record in records) == 3 * 4 * 2
+        assert _sha256(records) == self.RATIO_DIGEST
+
+    def test_eigenpairs(self):
+        records = []
+        for a in digest_hermitian_matrices():
+            eigenvalues, vectors = hermitian_eig(a)
+            want_values, want_vectors = _reference_hermitian_eig(a)
+            assert eigenvalues.tobytes() == want_values.tobytes() and vectors.tobytes() == want_vectors.tobytes()
+            records.append(eigenvalues.tobytes().hex() + ":" + vectors.tobytes().hex())
+        assert _sha256(records) == self.EIGENPAIR_DIGEST
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_hermitian_tolerance_on_either_side(self, side):
+        # m = h + t s with s skew-Hermitian, so ||m - m*|| = 2 t ||s|| and
+        # ||m|| = ||h|| up to t^2: t sets the relative skew.
+        rng = np.random.default_rng(85)
+        message = "^matrix is not Hermitian within 1e-12 relative tolerance$"
+        for n in range(2, 7):
+            h, other, x = random_psd(rng, n), random_psd(rng, n), random_complex(rng, n)
+            s = 1j * random_hermitian(rng, n)
+            for relative, rejected in ((1.01e-12, True), (0.99e-12, False)):
+                m = h + relative * fro(h) / (2.0 * fro(s)) * s
+                args = (m, other, x) if side == "A" else (other, m, x)
+                if rejected:
+                    with pytest.raises(NotHermitian, match=message):
+                        hermitian_eig(m)
+                    with pytest.raises(NotHermitian, match=message):
+                        verify_conjecture_ratio(*args, f1, _OP)
+                else:
+                    hermitian_eig(m)
+                    assert verify_conjecture_ratio(*args, f1, _OP) > 0.0
+
+
 def replay_shard(cfg, shard, trials):
     """Per-trial reference for one campaign shard.
 
@@ -1234,6 +1340,22 @@ class TestCampaign:
             assert value == 3 and type(value) is int
         with pytest.raises(BadParameter, match="^norm must be a NormKind, got str 'operator'$"):
             CampaignConfig(norm="operator")
+        # A truthy flag, a string threshold or a list of selectors would run
+        # or fail outside CommboundsError; each is a BadParameter.
+        for name in ("a_equals_b", "unit_norm_a"):
+            for bad in ("no", 1, 0, None):
+                with pytest.raises(BadParameter, match=f"^{name} must be a bool, got {type(bad).__name__} "):
+                    CampaignConfig(trials=5, **{name: bad})
+            value = getattr(CampaignConfig(**{name: np.bool_(True)}), name)
+            assert value is True
+        for bad in ("0.25", True, np.bool_(False)):
+            with pytest.raises(BadParameter, match=f"^min_commutator must be a real number, got {type(bad).__name__} "):
+                CampaignConfig(min_commutator=bad)
+        for good in (0, np.float64(0.25), np.int64(1)):
+            value = CampaignConfig(min_commutator=good).min_commutator
+            assert value == good and type(value) is float
+        with pytest.raises(BadParameter, match=r"^f must be a str, got list \['f1'\]$"):
+            CampaignConfig(f=["f1"])
 
     def test_ky_fan_campaign_draws_n_at_least_k(self):
         # A 2 x 2 trial has no third singular value, so n is drawn from [3, n_max].
