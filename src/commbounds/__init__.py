@@ -22,136 +22,15 @@ unitarily invariant norms, for operator-monotone test functions such as
 * a command line front end (:mod:`commbounds.cli`).
 """
 
-from commbounds.approx import (
-    CommboundsError,
-    DomainViolation,
-    ErfMinOutcome,
-    GaussianParams,
-    MixtureCertificate,
-    MixtureParams,
-    NoSignChange,
-    NumericalFailure,
-    RootValidationFailed,
-    certify_mixture,
-    certify_mixtures,
-    erf_min_bound,
-    f1,
-)
-from commbounds.formulas import (
-    PiecewiseQuadParams,
-    csc1,
-    gamma_boyadzhiev,
-    gamma_olsen_pedersen,
-    gamma_pedersen,
-    gamma_sin,
-    gamma_tangent,
-    optimize_pq_f1,
-    pq_f1_bound,
-    pq_sqrt_bound,
-    scaled_cayley_Cc,
-    shift_constant,
-    trivial_constant,
-)
-from commbounds.matrixlab import (
-    BadParameter,
-    CampaignConfig,
-    CampaignReport,
-    NormKind,
-    NotHermitian,
-    SpectralRadiusTooLarge,
-    ZeroDenominator,
-    counterexample_report,
-    hermitian_eig,
-    monte_carlo_campaign,
-    singular_values,
-    ui_norm,
-    verify_conjecture_ratio,
-    verify_exp_equivalence,
-    verify_jensen,
-)
-from commbounds.optimize import (
-    BoundPoint,
-    HullConstant,
-    build_paper_grid,
-    certify_grid,
-    hull_constant,
-    optimize_grid,
-    pattern_search,
-    pattern_search_nd,
-)
-from commbounds.stitch import (
-    ArgumentOrder,
-    CoverageGap,
-    RejectedCertificate,
-    StitchedCertificate,
-    continuity_lift,
-    corner_large,
-    corner_small,
-    gamma_half_via_Cc,
-    global_constant,
-    sqrt_constant,
-)
+# Each module's __all__ is the one list of its public names; the package
+# republishes five of them (not witnesses' or cli's).
+from commbounds import approx, formulas, matrixlab, optimize, stitch
+from commbounds.approx import *  # noqa: F403
+from commbounds.formulas import *  # noqa: F403
+from commbounds.matrixlab import *  # noqa: F403
+from commbounds.optimize import *  # noqa: F403
+from commbounds.stitch import *  # noqa: F403
 
-__all__ = [
-    "ArgumentOrder",
-    "BadParameter",
-    "BoundPoint",
-    "CampaignConfig",
-    "CampaignReport",
-    "CommboundsError",
-    "CoverageGap",
-    "DomainViolation",
-    "ErfMinOutcome",
-    "GaussianParams",
-    "HullConstant",
-    "MixtureCertificate",
-    "MixtureParams",
-    "NoSignChange",
-    "NormKind",
-    "NotHermitian",
-    "NumericalFailure",
-    "PiecewiseQuadParams",
-    "RejectedCertificate",
-    "RootValidationFailed",
-    "SpectralRadiusTooLarge",
-    "StitchedCertificate",
-    "ZeroDenominator",
-    "build_paper_grid",
-    "certify_grid",
-    "certify_mixture",
-    "certify_mixtures",
-    "continuity_lift",
-    "corner_large",
-    "corner_small",
-    "counterexample_report",
-    "csc1",
-    "erf_min_bound",
-    "f1",
-    "gamma_boyadzhiev",
-    "gamma_half_via_Cc",
-    "gamma_olsen_pedersen",
-    "gamma_pedersen",
-    "gamma_sin",
-    "gamma_tangent",
-    "global_constant",
-    "hermitian_eig",
-    "hull_constant",
-    "monte_carlo_campaign",
-    "optimize_grid",
-    "optimize_pq_f1",
-    "pattern_search",
-    "pattern_search_nd",
-    "pq_f1_bound",
-    "pq_sqrt_bound",
-    "scaled_cayley_Cc",
-    "shift_constant",
-    "singular_values",
-    "sqrt_constant",
-    "trivial_constant",
-    "ui_norm",
-    "verify_conjecture_ratio",
-    "verify_exp_equivalence",
-    "verify_jensen",
-]
+__all__ = sorted(approx.__all__ + formulas.__all__ + matrixlab.__all__ + optimize.__all__ + stitch.__all__)
 
 __version__ = "0.1.0"

@@ -52,18 +52,9 @@ __all__ = [
     "MixtureCertificate",
     "ErfMinOutcome",
     "f1",
-    "j_func",
-    "j_prime",
-    "j_limit",
-    "phi",
-    "x_star",
-    "x_end",
-    "bracketed_root",
     "erf_min_bound",
-    "mixture_residual",
     "certify_mixture",
     "certify_mixtures",
-    "node_value",
 ]
 
 _EPS = sys.float_info.epsilon

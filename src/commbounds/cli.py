@@ -342,7 +342,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--threads", type=int, default=1, help="worker processes")
-    p.add_argument("--f", default="f1", choices=("f1", "sqrt"), help="scalar function")
+    p.add_argument("--f", default="f1", choices=CampaignConfig.FUNCTIONS, help="scalar function")
     p.add_argument("--norm", type=parse_norm, default=NormKind.operator(), help=NormKind.SPELLINGS)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--n-max", type=int, default=6, dest="n_max")

@@ -33,7 +33,6 @@ __all__ = [
     "optimize_pq_f1",
     "pq_f1_bound",
     "pq_sqrt_bound",
-    "pq_sqrt_t_star",
     "scaled_cayley_Cc",
     "shift_constant",
     "trivial_constant",

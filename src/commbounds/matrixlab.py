@@ -148,9 +148,23 @@ def singular_values(X) -> np.ndarray:
     return np.linalg.svd(_as_matrix(X), compute_uv=False)
 
 
-def _is_real(value) -> bool:
-    """A Python or numpy integer or float; a bool, though an int, is not."""
-    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+def _integer(value, name: str) -> int:
+    """value as an int: a Python or numpy integer, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParameter(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float: a Python or numpy integer or float, but not a bool.
+    An int too large for a float reads as +-inf, which the caller's
+    finiteness check rejects."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise BadParameter(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -176,21 +190,17 @@ class NormKind:
         if self.tag == "kyfan":
             # bool is an int, but str() would write kyfan:True, which
             # parse() does not read back; a numpy integer is stored as int.
-            if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-                raise BadParameter(f"Ky Fan k must be an integer, got {type(self.k).__name__} {self.k!r}")
+            object.__setattr__(self, "k", _integer(self.k, "Ky Fan k"))
             if self.k < 1:
                 raise BadParameter(f"Ky Fan k must be positive, got {self.k}")
-            object.__setattr__(self, "k", int(self.k))
         elif self.k is not None:
             raise BadParameter(f"k only applies to kyfan, got tag {self.tag!r}")
         if self.tag == "schatten":
             # As with k: str() would write schatten:True or
             # schatten:np.float64(2.5), which parse() does not read back.
-            if not _is_real(self.p):
-                raise BadParameter(f"Schatten p must be a real number, got {type(self.p).__name__} {self.p!r}")
+            object.__setattr__(self, "p", _real(self.p, "Schatten p"))
             if not math.isfinite(self.p) or self.p < 1.0:
                 raise BadParameter(f"Schatten p must be >= 1, got {self.p}")
-            object.__setattr__(self, "p", float(self.p))
         elif self.p is not None:
             raise BadParameter(f"p only applies to schatten, got tag {self.tag!r}")
 
@@ -479,16 +489,15 @@ class CampaignConfig:
     min_commutator: float | None = None
     threads: int = 1
 
+    FUNCTIONS = tuple(_F_TABLE)
+
     def __post_init__(self) -> None:
         # bool is an int, and a float count runs: each would be recorded in
         # the report as given, as would a truthy flag or a numpy scalar.  A
         # numpy integer is stored as int, a numpy bool as bool and a
         # min_commutator as float.
         for name in ("n_max", "trials", "seed", "threads"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise BadParameter(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         for name in ("a_equals_b", "unit_norm_a"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
@@ -499,12 +508,13 @@ class CampaignConfig:
         if not isinstance(self.f, str):
             raise BadParameter(f"f must be a str, got {type(self.f).__name__} {self.f!r}")
         if self.min_commutator is not None:
-            if not _is_real(self.min_commutator):
-                value = self.min_commutator
-                raise BadParameter(f"min_commutator must be a real number, got {type(value).__name__} {value!r}")
-            object.__setattr__(self, "min_commutator", float(self.min_commutator))
+            object.__setattr__(self, "min_commutator", _real(self.min_commutator, "min_commutator"))
         if self.n_max < 2:
             raise DomainViolation(f"n_max must be >= 2, got {self.n_max}")
+        # A trial draws one 6 x n_max x n_max float64 block; numpy cannot
+        # index one of more than intp's largest value in bytes.
+        if 48 * self.n_max**2 > np.iinfo(np.intp).max:
+            raise DomainViolation(f"n_max={self.n_max} is too large: one trial's draws would not fit an array")
         if self.trials < 1:
             raise DomainViolation(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -513,8 +523,8 @@ class CampaignConfig:
             raise DomainViolation(f"threads must be >= 1, got {self.threads}")
         if self.norm.tag == "kyfan" and self.norm.k > self.n_max:
             raise BadParameter(f"Ky Fan k={self.norm.k} exceeds n_max={self.n_max}")
-        if self.f not in _F_TABLE:
-            raise BadParameter(f"unknown f selector {self.f!r}; choose from {sorted(_F_TABLE)}")
+        if self.f not in self.FUNCTIONS:
+            raise BadParameter(f"unknown f selector {self.f!r}; choose from {sorted(self.FUNCTIONS)}")
         if self.min_commutator is not None and not (
             math.isfinite(self.min_commutator) and self.min_commutator >= 0.0
         ):

@@ -40,6 +40,7 @@ from commbounds.approx import (
     NoSignChange,
     RootValidationFailed,
     _erf_min,
+    _up,
     certify_mixture,  # noqa: F401 -- perfbench/spans.py traces it under this module
     certify_mixtures,
     erf_min_bound,  # noqa: F401 -- perfbench/spans.py traces it under this module
@@ -297,19 +298,17 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     near = (h[:-1] <= h[pieces, lines, None] * (1.0 + _HULL_SLACK)) | (
         h[1:] <= h[pieces + 1, lines, None] * (1.0 + _HULL_SLACK)
     )
-    # Each piece's candidates in index order, the last one repeated up to
-    # the largest count of a piece that holds a node (a piece beyond the
-    # grid, clipped to its end, can hold every line), so that every node
-    # gets a row of the same width.
-    counts = near.sum(axis=1)
+    # Each node's row holds its piece's candidates in index order, then
+    # other lines up to the largest count of a piece that holds a node (a
+    # piece beyond the grid, clipped to its end, can hold every line);
+    # those other lines can neither win nor tie.
     piece = np.searchsorted(breaks, cs)
-    slots = np.minimum(np.arange(counts[piece].max()), counts[:, None] - 1)
-    table = np.nonzero(near)[1][(np.cumsum(counts) - counts)[:, None] + slots]
-    candidates = table[piece]
+    width = near.sum(axis=1)[piece].max()
+    candidates = np.argsort(~near, axis=1, kind="stable")[piece, :width]
     # Near the float maximum these overflow to inf, which the rules above handle.
     with np.errstate(over="ignore"):
         values = node_value(cs[:, None], osc[candidates], amplitude[candidates])
-        resolvent = np.nextafter(cs + 1.0, np.inf)
+        resolvent = _up(cs + 1.0)
     rows = np.arange(cs.size)
     column = values.argmin(axis=1)
     envelope = values[rows, column]

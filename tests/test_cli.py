@@ -539,6 +539,18 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == "error: seed must be >= 0, got -1\n"
 
+    def test_n_max_beyond_an_array_exits_two(self, capsys):
+        # numpy would fail to draw one trial with "array is too big"; the
+        # config refuses n_max first, before any draw.
+        code, out, err = run(capsys, "verify", "--trials", "10", "--n-max", "9223372036854775807")
+        assert code == 2 and out == ""
+        assert err.startswith("error: n_max=9223372036854775807 ") and "Traceback" not in err
+
+    def test_unknown_function_exits_one(self, capsys):
+        code, out, err = run(capsys, "verify", "--trials", "10", "--f", "cube")
+        assert code == 1 and out == ""
+        assert "invalid choice: 'cube' (choose from 'f1', 'sqrt')" in err
+
 
 class TestCommandFlags:
     def test_seed_and_threads_belong_to_verify(self, capsys, tmp_path):

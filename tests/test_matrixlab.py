@@ -366,6 +366,10 @@ class TestNormKind:
         for bad in (True, np.bool_(True), "2", None):
             with pytest.raises(BadParameter, match=f"^Schatten p must be a real number, got {type(bad).__name__} "):
                 NormKind("schatten", p=bad)
+        # An int too large for a float reads as +-inf, which is not a p.
+        for bad in (10**400, -(10**400)):
+            with pytest.raises(BadParameter, match="^Schatten p must be >= 1, got -?inf$"):
+                NormKind("schatten", p=bad)
 
     def test_kyfan_out_of_range_at_evaluation(self):
         with pytest.raises(BadParameter):
@@ -1322,9 +1326,16 @@ class TestCampaign:
             CampaignConfig(threads=0)
         with pytest.raises(BadParameter):
             CampaignConfig(f="cube")
-        for bad in (float("nan"), float("inf"), -0.5):
+        for bad in (float("nan"), float("inf"), -0.5, 10**400, -(10**400)):
             with pytest.raises(DomainViolation):
                 CampaignConfig(min_commutator=bad)
+        # One trial's 6 x n_max x n_max float64 draw must be an array numpy
+        # can index; the largest such n_max is accepted (nothing is drawn).
+        largest = math.isqrt(np.iinfo(np.intp).max // 48)
+        assert CampaignConfig(n_max=largest).n_max == largest
+        for bad in (largest + 1, 2**40, 2**63):
+            with pytest.raises(DomainViolation, match=f"^n_max={bad} is too large"):
+                CampaignConfig(n_max=bad)
         assert CampaignConfig(min_commutator=0.0).min_commutator == 0.0
         with pytest.raises(BadParameter):
             CampaignConfig(norm=NormKind.ky_fan(7))
