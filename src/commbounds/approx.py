@@ -42,6 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
+    "BadParameter",
     "CommboundsError",
     "DomainViolation",
     "NoSignChange",
@@ -76,6 +77,10 @@ class DomainViolation(ValueError, CommboundsError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class BadParameter(ValueError, CommboundsError):
+    """An argument of the wrong type, or a Ky Fan k or Schatten p out of range."""
+
+
 class NoSignChange(RuntimeError, CommboundsError):
     """A bracketing interval does not straddle a sign change."""
 
@@ -89,6 +94,36 @@ class NumericalFailure(RuntimeError, CommboundsError):
     an inequality checked on computed values failed beyond its slack."""
 
 
+def _integer(value, name: str) -> int:
+    """value as an int: a Python or numpy integer, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BadParameter(f"{name} must be an integer, got {type(value).__name__} {value!r}")
+    return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float: a Python or numpy integer or float, but not a bool.
+    The package's one rule for a real argument; each entry keeps its own
+    range test and error class, which rejects the +-inf that an int too
+    large for a float reads as.  A Python float takes one type test."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise BadParameter(f"{name} must be a real number, got {type(value).__name__} {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _positive(value, name: str) -> float:
+    """_real(value, name), which must be positive and finite (DomainViolation)."""
+    x = _real(value, name)
+    if not 0.0 < x < math.inf:
+        raise DomainViolation(f"{name} must be positive and finite, got {value!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class GaussianParams:
     """Amplitude a and inverse squared width b of the Gaussian kernel."""
@@ -97,10 +132,8 @@ class GaussianParams:
     b: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainViolation(f"amplitude a must be positive and finite, got {self.a!r}")
-        if not (math.isfinite(self.b) and self.b > 0.0):
-            raise DomainViolation(f"width parameter b must be positive and finite, got {self.b!r}")
+        object.__setattr__(self, "a", _positive(self.a, "amplitude a"))
+        object.__setattr__(self, "b", _positive(self.b, "width parameter b"))
 
 
 @dataclass(frozen=True)
@@ -120,9 +153,8 @@ class MixtureParams:
             raise DomainViolation(
                 f"a mixture needs equally many weights and widths, got {len(self.w)} and {len(self.b)}"
             )
-        for name, values in (("weight", self.w), ("width parameter", self.b)):
-            if not all(math.isfinite(v) and v > 0.0 for v in values):
-                raise DomainViolation(f"every {name} must be positive and finite, got {values!r}")
+        for field, name in (("w", "weight"), ("b", "width parameter")):
+            object.__setattr__(self, field, tuple(_positive(v, name) for v in getattr(self, field)))
 
     def to_payload(self) -> dict:
         """The {"w": [...], "b": [...]} layout of certificate files and the witness table."""
@@ -131,7 +163,7 @@ class MixtureParams:
     @classmethod
     def from_payload(cls, payload: Mapping) -> "MixtureParams":
         """Read to_payload's layout; other keys of the mapping are ignored."""
-        return cls(tuple(float(v) for v in payload["w"]), tuple(float(v) for v in payload["b"]))
+        return cls(tuple(payload["w"]), tuple(payload["b"]))
 
 
 @dataclass(frozen=True)
@@ -170,14 +202,17 @@ class ErfMinOutcome:
 
 
 def f1(x: float) -> float:
-    """Evaluate the test function x / (x + 1)."""
-    if x <= -1.0:
-        raise DomainViolation(f"f1 requires x > -1, got {x!r}")
+    """Evaluate the test function x / (x + 1) at a finite x > -1."""
+    x = _real(x, "x")
+    if not -1.0 < x < math.inf:
+        raise DomainViolation(f"f1 requires finite x > -1, got {x!r}")
     return x / (x + 1.0)
 
 
 def j_func(x: float, params: GaussianParams) -> float:
     """Evaluate the residual j(x) = f1(x) - g(x)."""
+    if x <= -1.0:
+        raise DomainViolation(f"j_func requires x > -1, got {x!r}")
     return _residual(params.a, params.b)[0](x)
 
 
@@ -207,8 +242,11 @@ def phi(x: float, params: GaussianParams) -> float:
 
 def x_star(b: float) -> float:
     """Return the minimizer of phi, the positive root of x^2 + x - 1 / b."""
-    if not (math.isfinite(b) and b > 0.0):
-        raise DomainViolation(f"x_star requires b > 0, got {b!r}")
+    return _x_star(_positive(b, "b"))
+
+
+def _x_star(b: float) -> float:
+    """x_star on a bare float b > 0."""
     return 0.5 * (-1.0 + math.sqrt(1.0 + 4.0 / b))
 
 
@@ -259,7 +297,7 @@ def _residual(a: float, b: float) -> tuple[Callable[[float], float], float]:
     mass, root_b = 0.5 * a * math.sqrt(math.pi / b), math.sqrt(b)
 
     def j(x: float) -> float:
-        return f1(x) - mass * math.erf(root_b * x)
+        return x / (x + 1.0) - mass * math.erf(root_b * x)
 
     return j, 1.0 - mass
 
@@ -363,7 +401,7 @@ def _erf_min(a: float, b: float) -> tuple[float, float | None, float | None]:
     """
     log_a = math.log(a)
     sign_func = _phi(b, log_a)
-    xs = x_star(b)
+    xs = _x_star(b)
     if sign_func(xs) >= 0.0:
         return math.inf, None, None
 
@@ -401,8 +439,7 @@ def erf_min_bound(c: float, params: GaussianParams) -> ErfMinOutcome:
     chained grid search's time on paper subgrids of 106 nodes (2 vCPU,
     Python 3.11).
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainViolation(f"evaluation point c must be positive and finite, got {c!r}")
+    c = _positive(c, "evaluation point c")
     a = params.a
     spread, x1, x2 = _erf_min(a, params.b)
     if x2 is None:
@@ -678,8 +715,9 @@ def node_value(c, osc, L):
     exact value for the given floats.  Broadcasts over numpy arrays.
     Every entry of c must be positive and finite, and every entry of osc
     and L nonnegative and finite, or DomainViolation is raised: outside
-    that domain the upward roundings bound nothing.
+    that domain the upward roundings bound nothing.  A scalar is read by _real.
     """
+    c, osc, L = (v if isinstance(v, np.ndarray) else _real(v, n) for v, n in ((c, "c"), (osc, "osc"), (L, "L")))
     in_domain = np.all(np.isfinite(c) & (c > 0.0))
     if not (in_domain and all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (osc, L))):
         raise DomainViolation(

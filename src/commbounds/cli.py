@@ -224,7 +224,7 @@ def _load_certificate(path: str) -> StitchedCertificate:
         return StitchedCertificate.from_dict(payload)
     except RejectedCertificate:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise UsageError(f"{path} is not a certificate: {type(exc).__name__}: {exc}") from exc
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from commbounds.approx import DomainViolation, f1
+from commbounds.approx import DomainViolation, _positive, _real, f1
 from commbounds.optimize import pattern_search_nd
 
 __all__ = [
@@ -54,24 +54,17 @@ class PiecewiseQuadParams:
     m: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and self.a > 0.0):
-            raise DomainViolation(f"knot a must be positive and finite, got {self.a}")
-        if not (math.isfinite(self.m) and self.m <= 0.0):
+        object.__setattr__(self, "a", _positive(self.a, "knot a"))
+        object.__setattr__(self, "m", _real(self.m, "slope offset m"))
+        if not -math.inf < self.m <= 0.0:
             raise DomainViolation(f"slope offset m must be <= 0 and finite, got {self.m}")
 
 
 def _check_unit_interval(r: float) -> float:
-    r = float(r)
-    if not (math.isfinite(r) and 0.0 < r < 1.0):
+    r = _real(r, "exponent r")
+    if not 0.0 < r < 1.0:
         raise DomainViolation(f"exponent r must lie in (0, 1), got {r}")
     return r
-
-
-def _check_positive(x: float, name: str) -> float:
-    x = float(x)
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainViolation(f"{name} must be positive and finite, got {x}")
-    return x
 
 
 def trivial_constant() -> float:
@@ -200,7 +193,7 @@ def pq_f1_bound(c: float, p: PiecewiseQuadParams) -> float:
     j decreases on [0, a) and the oscillation is j(0).  Closed form, no
     root finding: the private kernel _pq_f1 behind one check of c.
     """
-    c = _check_positive(c, "c")
+    c = _positive(c, "c")
     return _pq_f1(c, f1(c), p.a, p.m)
 
 
@@ -215,7 +208,7 @@ def optimize_pq_f1(
     callers chasing a c-grid can chain each node's winner into the next
     node's start.
     """
-    c = _check_positive(c, "c")
+    c = _positive(c, "c")
     scale = f1(c)
     best = pattern_search_nd(
         lambda t: _pq_f1(c, scale, t[0], t[1]), start, lower=(1e-8, None), upper=(None, 0.0)
@@ -226,6 +219,6 @@ def optimize_pq_f1(
 
 def scaled_cayley_Cc(c: float) -> float:
     """Scaled Cayley bound (c + 1)/(1/2 + sqrt(1/4 + c^2)); max 5/4 at c = 2/3."""
-    c = _check_positive(c, "c")
+    c = _positive(c, "c")
     return (c + 1.0) / (0.5 + math.sqrt(0.25 + c * c))
 

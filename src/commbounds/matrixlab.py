@@ -31,10 +31,9 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from commbounds.approx import CommboundsError, DomainViolation, NumericalFailure
+from commbounds.approx import BadParameter, CommboundsError, DomainViolation, NumericalFailure, _integer, _real
 
 __all__ = [
-    "BadParameter",
     "CampaignConfig",
     "CampaignReport",
     "NormKind",
@@ -54,11 +53,6 @@ __all__ = [
 
 class NotHermitian(ValueError, CommboundsError):
     """Input matrix is not Hermitian within tolerance."""
-
-
-class BadParameter(ValueError, CommboundsError):
-    """A norm or campaign setting of the wrong type, or a norm parameter out
-    of range (Ky Fan k, Schatten p)."""
 
 
 class SpectralRadiusTooLarge(ValueError, CommboundsError):
@@ -148,25 +142,6 @@ def singular_values(X) -> np.ndarray:
     return np.linalg.svd(_as_matrix(X), compute_uv=False)
 
 
-def _integer(value, name: str) -> int:
-    """value as an int: a Python or numpy integer, but not a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise BadParameter(f"{name} must be an integer, got {type(value).__name__} {value!r}")
-    return int(value)
-
-
-def _real(value, name: str) -> float:
-    """value as a float: a Python or numpy integer or float, but not a bool.
-    An int too large for a float reads as +-inf, which the caller's
-    finiteness check rejects."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise BadParameter(f"{name} must be a real number, got {type(value).__name__} {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class NormKind:
     """Selector for a unitarily-invariant norm: a Ky Fan or a Schatten norm.
@@ -199,7 +174,7 @@ class NormKind:
             # As with k: str() would write schatten:True or
             # schatten:np.float64(2.5), which parse() does not read back.
             object.__setattr__(self, "p", _real(self.p, "Schatten p"))
-            if not math.isfinite(self.p) or self.p < 1.0:
+            if not 1.0 <= self.p < math.inf:
                 raise BadParameter(f"Schatten p must be >= 1, got {self.p}")
         elif self.p is not None:
             raise BadParameter(f"p only applies to schatten, got tag {self.tag!r}")
@@ -525,9 +500,7 @@ class CampaignConfig:
             raise BadParameter(f"Ky Fan k={self.norm.k} exceeds n_max={self.n_max}")
         if self.f not in self.FUNCTIONS:
             raise BadParameter(f"unknown f selector {self.f!r}; choose from {sorted(self.FUNCTIONS)}")
-        if self.min_commutator is not None and not (
-            math.isfinite(self.min_commutator) and self.min_commutator >= 0.0
-        ):
+        if self.min_commutator is not None and not 0.0 <= self.min_commutator < math.inf:
             raise DomainViolation(
                 f"min_commutator must be finite and >= 0, got {self.min_commutator}"
             )

@@ -40,6 +40,8 @@ from commbounds.approx import (
     NoSignChange,
     RootValidationFailed,
     _erf_min,
+    _positive,
+    _real,
     _up,
     certify_mixture,  # noqa: F401 -- perfbench/spans.py traces it under this module
     certify_mixtures,
@@ -108,12 +110,13 @@ def pattern_search_nd(
     point seen, which is never worse than the clamped start.
 
     start must be non-empty and finite, also once clamped, and lower and
-    upper as long as start.  Each axis's bounds are read once as (lo, hi),
-    a missing bound as -inf or +inf.  min(max(v, lo), hi) clamps the start
-    by the polls' comparisons, v < lo and then v > hi.  A poll moves one
-    coordinate of the best point, held in a list, in place, clamps it into
-    [lo, hi] and checks only it, passes the objective a tuple of the point,
-    and puts the coordinate back when the poll does not improve.
+    upper as long as start.  Each axis's bounds are read once, by approx's
+    rule, as (lo, hi) with lo <= hi (so neither is NaN), a missing bound
+    as -inf or +inf.  min(max(v, lo), hi) clamps the start by the polls'
+    comparisons, v < lo and then v > hi.  A poll moves one coordinate of
+    the best point, held in a list, in place, clamps it into [lo, hi] and
+    checks only it, passes the objective a tuple of the point, and puts
+    the coordinate back when the poll does not improve.
     """
     dim = len(start)
     lower = tuple(lower) if lower is not None else (None,) * dim
@@ -124,13 +127,15 @@ def pattern_search_nd(
         raise DomainViolation(
             f"lower and upper must have {dim} entries like start, got {len(lower)} and {len(upper)}"
         )
-    start = tuple(float(v) for v in start)
+    start = tuple(_real(v, "start") for v in start)
     bounds = [
-        (-math.inf if lo is None else lo, math.inf if hi is None else hi)
+        (-math.inf if lo is None else _real(lo, "lower"), math.inf if hi is None else _real(hi, "upper"))
         for lo, hi in zip(lower, upper)
     ]
+    if not all(lo <= hi for lo, hi in bounds):
+        raise DomainViolation(f"each axis needs lower <= upper, neither NaN, got {bounds}")
     point = [min(max(v, lo), hi) for v, (lo, hi) in zip(start, bounds)]
-    if not all(math.isfinite(v) for v in start + tuple(point)):
+    if not all(-math.inf < v < math.inf for v in start + tuple(point)):
         raise DomainViolation(f"start and its clamp into the bounds must be finite, got {start}")
     polls = [(axis, sign, lo, hi) for axis, (lo, hi) in enumerate(bounds) for sign in (1.0, -1.0)]
     f_best = objective(tuple(point))
@@ -230,9 +235,7 @@ def optimize_grid(grid: Sequence[float]) -> list[BoundPoint]:
     most once (see _certify_node).  A node whose every poll was rejected
     or degenerate is reported as a degenerate BoundPoint with C_k = inf.
     """
-    grid = [float(c) for c in grid]
-    if not all(math.isfinite(c) and c > 0.0 for c in grid):
-        raise DomainViolation("grid values must be positive and finite")
+    grid = [_positive(c, "grid value") for c in grid]
     if any(u >= v for u, v in zip(grid, grid[1:])):
         raise DomainViolation("grid values must be strictly increasing")
 
@@ -285,9 +288,7 @@ def certify_grid(grid: Sequence[float]) -> list[BoundPoint]:
     overflows to inf, every one does, and the node takes the first
     witness, as the argmin over all lines would.
     """
-    cs = np.array([float(c) for c in grid])
-    if not np.all(np.isfinite(cs) & (cs > 0.0)):
-        raise DomainViolation("grid values must be positive and finite")
+    cs = np.array([_positive(c, "grid value") for c in grid])
     if cs.size == 0:
         return []
     witnesses, osc, amplitude, lines, breaks = _envelope()

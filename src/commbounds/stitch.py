@@ -23,6 +23,8 @@ from commbounds.approx import (
     GaussianParams,
     MixtureParams,
     NumericalFailure,
+    _positive,
+    _real,
 )
 from commbounds.formulas import csc1, scaled_cayley_Cc
 from commbounds.optimize import BoundPoint
@@ -120,7 +122,7 @@ class StitchedCertificate:
             raise CoverageGap("grid, C_k, D_k and params must have equal lengths")
         mixtures = [MixtureParams.from_payload(m) for m in payload.get("mixtures", [])]
         points = tuple(
-            BoundPoint(float(c), float(C), _params_from_payload(entry, mixtures))
+            BoundPoint(_real(c, "grid value"), _real(C, "C_k"), _params_from_payload(entry, mixtures))
             for c, C, entry in zip(grid, constants, params)
         )
         try:
@@ -154,16 +156,15 @@ def _params_from_payload(entry, mixtures: list[MixtureParams]):
         if type(index) is not int or not 0 <= index < len(mixtures):
             raise ValueError(f"mixture index {index!r} is not an int in [0, {len(mixtures)})")
         return mixtures[index]
-    return GaussianParams(float(entry[0]), float(entry[1]))
+    return GaussianParams(entry[0], entry[1])
 
 
 def continuity_lift(C: float, c: float, d: float) -> float:
     """Lift the bound C at c to any d >= c: D = C (d+1)/(c+1)."""
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainViolation(f"c must be positive and finite, got {c}")
-    if not (math.isfinite(C) and C >= 1.0):
+    c, C, d = _positive(c, "c"), _real(C, "C"), _real(d, "d")
+    if not 1.0 <= C < math.inf:
         raise DomainViolation(f"C must be >= 1 and finite, got {C}")
-    if not math.isfinite(d) or d < c:
+    if not c <= d < math.inf:
         raise ArgumentOrder(f"d must satisfy d >= c, got d={d}, c={c}")
     return C * (d + 1.0) / (c + 1.0)
 
@@ -175,15 +176,13 @@ def _check_points(points: Sequence[BoundPoint]) -> None:
     if any(u >= v for u, v in zip(cs, cs[1:])):
         raise DomainViolation("points must be strictly increasing in c")
     for p in points:
-        if not (math.isfinite(p.C_k) and p.C_k >= 1.0):
+        if not 1.0 <= _real(p.C_k, "C_k") < math.inf:
             raise DomainViolation(f"C_k must be >= 1 and finite, got {p.C_k} at c = {p.c}")
 
 
 def corner_small(c1: float) -> float:
     """Bound over (0, c1] from the Lipschitz estimate: sup c/f1(c) = c1 + 1."""
-    if not (math.isfinite(c1) and c1 > 0.0):
-        raise DomainViolation(f"c1 must be positive and finite, got {c1}")
-    return c1 + 1.0
+    return _positive(c1, "c1") + 1.0
 
 
 def corner_large(cn: float) -> float:
@@ -193,7 +192,8 @@ def corner_large(cn: float) -> float:
     its maximum 25/16 at c = 2/3 and decreases beyond, so the supremum
     over the tail is 25/16 for cn <= 2/3 and the value at cn otherwise.
     """
-    if not math.isfinite(cn) or cn < 0.5:
+    cn = _real(cn, "cn")
+    if not 0.5 <= cn < math.inf:
         raise DomainViolation(f"cn must be >= 1/2, got {cn}")
     # 2.0 / 3.0 rounds down, and no float lies between it and 2/3.
     if cn <= 2.0 / 3.0:

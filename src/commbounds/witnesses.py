@@ -49,12 +49,11 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from importlib import resources
 
 import numpy as np
 
-from commbounds.approx import DomainViolation, MixtureParams, NumericalFailure
+from commbounds.approx import DomainViolation, MixtureParams, NumericalFailure, _positive
 
 __all__ = ["FIT_NODES", "WIDTHS", "fit_table", "fit_witness", "load_witnesses", "table_path"]
 
@@ -243,8 +242,7 @@ def fit_witness(c: float) -> MixtureParams:
     written after they are built.  A stage that HiGHS refuses, or that
     does not end optimal, raises NumericalFailure naming c.
     """
-    if not (math.isfinite(c) and c > 0.0):
-        raise DomainViolation(f"fit_witness needs c positive and finite, got {c!r}")
+    c = _positive(c, "c")
     from scipy.optimize._highspy import _core as highs_core
 
     try:
@@ -261,10 +259,7 @@ def fit_witness(c: float) -> MixtureParams:
     keep = mass > 0.0
     if not keep.any():
         raise DomainViolation(f"the witness fit at c = {c!r} keeps no width: g = 0 is optimal there")
-    return MixtureParams(
-        tuple(float(v) for v in mass[keep] / _HALF_MASS[keep]),
-        tuple(float(v) for v in WIDTHS[keep]),
-    )
+    return MixtureParams(tuple(mass[keep] / _HALF_MASS[keep]), tuple(WIDTHS[keep]))
 
 
 def fit_table() -> str:

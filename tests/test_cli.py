@@ -299,6 +299,12 @@ def _with_mixture(index):
     return lambda p: {**p, "params": [{"mixture": index}, *p["params"][1:]]}
 
 
+def _first_weight_as_string(payload):
+    payload = json.loads(json.dumps(payload))
+    payload["mixtures"][0]["w"][0] = str(payload["mixtures"][0]["w"][0])
+    return payload
+
+
 @pytest.mark.parametrize(
     "edit",
     [
@@ -309,10 +315,13 @@ def _with_mixture(index):
         _with_mixture(1.5),
         _with_mixture(-1),
         lambda p: {**p, "D_k": p["D_k"][:-1]},
+        lambda p: {**p, "grid": [str(c) for c in p["grid"]]},
+        _first_weight_as_string,
     ],
     ids=[
         "no-C_k", "list", "grid-string",
         "mixture-past-end", "mixture-float", "mixture-negative", "short-D_k",
+        "grid-numbers-as-strings", "weight-as-string",
     ],
 )
 def test_malformed_certificate_is_usage_error(capsys, tmp_path, paper_certificate, edit):
@@ -320,7 +329,7 @@ def test_malformed_certificate_is_usage_error(capsys, tmp_path, paper_certificat
     path.write_text(json.dumps(edit(paper_certificate)))
     code, out, err = run(capsys, "sqrt-const", "--cert", str(path))
     assert code == 1
-    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert err.startswith("usage error: ") and "is not a certificate" in err and "Traceback" not in err
     assert out == ""
 
 

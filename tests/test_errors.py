@@ -14,7 +14,8 @@ from scipy.optimize._highspy import _core as highs_core
 
 import commbounds
 from commbounds import approx, cli, formulas, matrixlab, optimize, stitch, witnesses
-from commbounds.approx import CommboundsError, NumericalFailure
+from commbounds.approx import BadParameter, CommboundsError, DomainViolation, GaussianParams, NumericalFailure
+from commbounds.formulas import PiecewiseQuadParams
 from commbounds.cli import main
 from commbounds.stitch import gamma_half_via_Cc
 from commbounds.witnesses import FIT_NODES, fit_witness, load_witnesses
@@ -60,6 +61,50 @@ class TestHierarchy:
 
     def test_usage_error_is_not_a_commbounds_error(self):
         assert not issubclass(cli.UsageError, CommboundsError)
+
+
+# The public entries that read a real number, each called with the
+# number x in one of its scalar places, and the class it raises when x
+# is +-inf.
+NUMBER_ENTRIES = {
+    "GaussianParams": (lambda x: approx.GaussianParams(x, 1.0), DomainViolation),
+    "MixtureParams": (lambda x: approx.MixtureParams((x,), (1.0,)), DomainViolation),
+    "f1": (approx.f1, DomainViolation),
+    "x_star": (approx.x_star, DomainViolation),
+    "erf_min_bound": (lambda x: approx.erf_min_bound(x, GaussianParams(0.9, 0.5)), DomainViolation),
+    "node_value": (lambda x: approx.node_value(x, 1.0, 1.0), DomainViolation),
+    "PiecewiseQuadParams": (lambda x: formulas.PiecewiseQuadParams(x, 0.0), DomainViolation),
+    "pq_f1_bound": (lambda x: formulas.pq_f1_bound(x, PiecewiseQuadParams(1.0, 0.0)), DomainViolation),
+    "optimize_pq_f1": (lambda x: formulas.optimize_pq_f1(1.0, start=(x, -0.01)), DomainViolation),
+    "gamma_boyadzhiev": (formulas.gamma_boyadzhiev, DomainViolation),
+    "gamma_olsen_pedersen": (formulas.gamma_olsen_pedersen, DomainViolation),
+    "gamma_pedersen": (formulas.gamma_pedersen, DomainViolation),
+    "gamma_sin": (formulas.gamma_sin, DomainViolation),
+    "gamma_tangent": (formulas.gamma_tangent, DomainViolation),
+    "scaled_cayley_Cc": (formulas.scaled_cayley_Cc, DomainViolation),
+    "pattern_search_nd": (lambda x: optimize.pattern_search_nd(lambda p: p[0], (x,)), DomainViolation),
+    "optimize_grid": (lambda x: optimize.optimize_grid([x]), DomainViolation),
+    "certify_grid": (lambda x: optimize.certify_grid([x]), DomainViolation),
+    "continuity_lift": (lambda x: stitch.continuity_lift(1.0, 0.5, x), stitch.ArgumentOrder),
+    "corner_small": (stitch.corner_small, DomainViolation),
+    "corner_large": (stitch.corner_large, DomainViolation),
+    "fit_witness": (witnesses.fit_witness, DomainViolation),
+}
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRIES)
+def test_every_entry_reads_numbers_by_one_rule(entry):
+    # An int too large for a float reads as +-inf, which the entry's range
+    # test rejects; a bool or a string is a number of the wrong type.  A
+    # numpy float in range is read as the float it holds.
+    call, out_of_range = NUMBER_ENTRIES[entry]
+    for value in (10**400, -(10**400)):
+        with pytest.raises(out_of_range):
+            call(value)
+    for value in (True, "1"):
+        with pytest.raises(BadParameter, match="must be a real number, got "):
+            call(value)
+    call(np.float64(0.75))
 
 
 def _quad_with_large_error(*args, **kwargs):

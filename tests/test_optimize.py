@@ -310,6 +310,8 @@ class TestPatternSearch:
             ((1.0, math.nan), None, None),
             ((math.inf, 1.0), None, (0.0, None)),
             ((1.0, 1.0), (None, math.inf), None),
+            ((0.5,), (1.0,), (0.0,)),
+            ((0.5,), (math.nan,), None),
         ],
     )
     def test_nd_rejects_bad_arguments_before_any_poll(self, start, lower, upper):

@@ -20,6 +20,7 @@ from scipy.optimize._highspy import _core as highs_core
 
 from commbounds import approx
 from commbounds.approx import (
+    BadParameter,
     DomainViolation,
     GaussianParams,
     MixtureCertificate,
@@ -282,9 +283,11 @@ class TestMixtureParams:
             assert MixtureParams.from_payload(entry) == params
 
     def test_from_payload_converts_and_validates(self):
-        params = MixtureParams.from_payload({"w": [1, "0.5"], "b": (2, 3.0)})
+        params = MixtureParams.from_payload({"w": [1, np.float64(0.5)], "b": (2, 3.0)})
         assert params == MixtureParams((1.0, 0.5), (2.0, 3.0))
         assert all(type(v) is float for v in params.w + params.b)
+        with pytest.raises(BadParameter, match="^weight must be a real number, got str '0.5'$"):
+            MixtureParams.from_payload({"w": [1, "0.5"], "b": (2, 3.0)})
         with pytest.raises(DomainViolation, match="equally many weights and widths"):
             MixtureParams.from_payload({"w": [1.0, 2.0], "b": [1.0]})
         with pytest.raises(KeyError):
