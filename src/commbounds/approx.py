@@ -201,26 +201,30 @@ class ErfMinOutcome:
         }
 
 
-def f1(x: float) -> float:
-    """Evaluate the test function x / (x + 1) at a finite x > -1."""
+def _point(x, name: str) -> float:
+    """x read by _real, which must be finite and > -1, the domain of f1
+    and of j; name is the entry that reads it."""
     x = _real(x, "x")
     if not -1.0 < x < math.inf:
-        raise DomainViolation(f"f1 requires finite x > -1, got {x!r}")
+        raise DomainViolation(f"{name} requires finite x > -1, got {x!r}")
+    return x
+
+
+def f1(x: float) -> float:
+    """Evaluate the test function x / (x + 1) at a finite x > -1."""
+    x = _point(x, "f1")
     return x / (x + 1.0)
 
 
 def j_func(x: float, params: GaussianParams) -> float:
     """Evaluate the residual j(x) = f1(x) - g(x)."""
-    if x <= -1.0:
-        raise DomainViolation(f"j_func requires x > -1, got {x!r}")
+    x = _point(x, "j_func")
     return _residual(params.a, params.b)[0](x)
 
 
 def j_prime(x: float, params: GaussianParams) -> float:
     """Evaluate j'(x) = 1 / (x + 1)^2 - a * exp(-b * x^2)."""
-    if x <= -1.0:
-        raise DomainViolation(f"j_prime requires x > -1, got {x!r}")
-    return _j_prime(x, params.a, params.b)
+    return _j_prime(_point(x, "j_prime"), params.a, params.b)
 
 
 def j_limit(params: GaussianParams) -> float:
@@ -235,8 +239,7 @@ def phi(x: float, params: GaussianParams) -> float:
     j' it is strictly convex, so it has a single interior minimizer and
     at most two roots, which makes bracketing reliable.
     """
-    if x <= -1.0:
-        raise DomainViolation(f"phi requires x > -1, got {x!r}")
+    x = _point(x, "phi")
     return _phi(params.b, math.log(params.a))(x)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from commbounds.approx import (
     CommboundsError,
@@ -73,11 +73,11 @@ class StitchedCertificate:
 
     def __post_init__(self) -> None:
         points = tuple(self.points)
-        _check_points(points)
-        cs = [p.c for p in points]
+        cs, constants = _read_nodes(points)
         spacing = max((v - u for u, v in zip(cs, cs[1:])), default=0.0)
-        uppers = cs[1:] + [cs[-1] + spacing]
-        lifted = [continuity_lift(p.C_k, p.c, d) for p, d in zip(points, uppers)]
+        lifted = [_lift(C, c, d) for C, c, d in zip(constants, cs, cs[1:])]
+        # The last upper end c_n + spacing may overflow to inf: the checked lift rejects it.
+        lifted.append(continuity_lift(constants[-1], cs[-1], cs[-1] + spacing))
         small, large = corner_small(cs[0]), corner_large(cs[-1])
         values = (points, tuple(lifted), small, large, max(small, large, *lifted))
         for name, value in zip((f.name for f in fields(self)), values):
@@ -86,12 +86,11 @@ class StitchedCertificate:
     def to_dict(self) -> dict:
         """Plain-types payload; floats survive a JSON round trip exactly.
 
-        A node's params entry is [a, b] for a single Gaussian, null for
-        a closed-form line (the resolvent 1 + c or g = 0), and
-        {"mixture": k} for a Gaussian mixture, which is stored once as
-        entry k of a trailing "mixtures" list (present only when some
-        node uses one).  The payload has no
-        degenerate flag: a certificate holds no degenerate node.
+        A node's params entry is [a, b] for a single Gaussian, null for a
+        closed-form line (the resolvent 1 + c or g = 0), and {"mixture": k} for
+        a Gaussian mixture, which is stored once as entry k of a trailing
+        "mixtures" list (present only when some node uses one).  The payload
+        has no degenerate flag: a certificate holds no degenerate node.
         """
         mixtures: dict[MixtureParams, int] = {}
         payload = {
@@ -114,10 +113,7 @@ class StitchedCertificate:
         Raises RejectedCertificate when the nodes give no certificate, or
         one whose D_k, corners or global_C differ from the stored in a bit.
         """
-        grid = payload["grid"]
-        constants = payload["C_k"]
-        lifted = payload["D_k"]
-        params = payload["params"]
+        grid, constants, lifted, params = (payload[k] for k in ("grid", "C_k", "D_k", "params"))
         if not (len(grid) == len(constants) == len(lifted) == len(params)):
             raise CoverageGap("grid, C_k, D_k and params must have equal lengths")
         mixtures = [MixtureParams.from_payload(m) for m in payload.get("mixtures", [])]
@@ -166,18 +162,37 @@ def continuity_lift(C: float, c: float, d: float) -> float:
         raise DomainViolation(f"C must be >= 1 and finite, got {C}")
     if not c <= d < math.inf:
         raise ArgumentOrder(f"d must satisfy d >= c, got d={d}, c={c}")
+    return _lift(C, c, d)
+
+
+def _lift(C: float, c: float, d: float) -> float:
     return C * (d + 1.0) / (c + 1.0)
 
 
-def _check_points(points: Sequence[BoundPoint]) -> None:
+def _read_nodes(points: Sequence[BoundPoint], span: tuple | None = None) -> tuple[list, list]:
+    """The node rule, stated once: the list is nonempty, its c are strictly increasing reals,
+    each C_k is a real in [1, inf), [c_1, c_n] is the span if one is given, and each c is
+    positive and finite, checked in this order.  Returns the c and C_k, each read once."""
     if not points:
         raise CoverageGap("no certificate points supplied")
-    cs = [p.c for p in points]
+    cs = [_real(p.c, "c") for p in points]
     if any(u >= v for u, v in zip(cs, cs[1:])):
         raise DomainViolation("points must be strictly increasing in c")
-    for p in points:
-        if not 1.0 <= _real(p.C_k, "C_k") < math.inf:
+    constants = [_real(p.C_k, "C_k") for p in points]
+    for p, C in zip(points, constants):
+        if not 1.0 <= C < math.inf:
             raise DomainViolation(f"C_k must be >= 1 and finite, got {p.C_k} at c = {p.c}")
+    if span:
+        _check_span(points, *span)
+    for p, c in zip(points, cs):
+        if not 0.0 < c < math.inf:
+            _positive(p.c, "c")  # raises, naming the value as given
+    return cs, constants
+
+
+def _check_span(points: Sequence[BoundPoint], lo: float, hi: float) -> None:
+    if points and (points[0].c != lo or points[-1].c != hi):
+        raise CoverageGap(f"points span [{points[0].c}, {points[-1].c}], required [{lo}, {hi}]")
 
 
 def corner_small(c1: float) -> float:
@@ -201,19 +216,14 @@ def corner_large(cn: float) -> float:
     return (1.0 - 1.0 / (4.0 * cn)) * (cn + 1.0) / cn
 
 
-def global_constant(
-    points: Sequence[BoundPoint], c1: float, cn: float
-) -> StitchedCertificate:
+def global_constant(points: Sequence[BoundPoint], c1: float, cn: float) -> StitchedCertificate:
     """Combine lifted node bounds with the two corner bounds.
 
     The points must span [c1, cn] exactly; the result bounds the ratio
     for every c > 0.
     """
     points = tuple(points)
-    if points and (points[0].c != c1 or points[-1].c != cn):
-        raise CoverageGap(
-            f"points span [{points[0].c}, {points[-1].c}], required [{c1}, {cn}]"
-        )
+    _check_span(points, c1, cn)
     return StitchedCertificate(points)
 
 
@@ -228,19 +238,10 @@ def sqrt_constant(points: Sequence[BoundPoint]) -> float:
              + 2/sqrt(c_n) ].
     The grid must span exactly [0.0195, 40].
     """
-    points = tuple(points)
-    _check_points(points)
-    if points[0].c != _SQRT_SPAN[0] or points[-1].c != _SQRT_SPAN[1]:
-        raise CoverageGap(
-            f"points span [{points[0].c}, {points[-1].c}], required "
-            f"[{_SQRT_SPAN[0]}, {_SQRT_SPAN[1]}]"
-        )
-    total = 2.0 * math.sqrt(points[0].c) + 2.0 / math.sqrt(points[-1].c)
-    for here, there in zip(points, points[1:]):
-        total += (
-            2.0 * here.C_k / (here.c + 1.0)
-            * (math.sqrt(there.c) - math.sqrt(here.c))
-        )
+    cs, constants = _read_nodes(tuple(points), _SQRT_SPAN)
+    total = 2.0 * math.sqrt(cs[0]) + 2.0 / math.sqrt(cs[-1])
+    for c, C, d in zip(cs, constants, cs[1:]):
+        total += 2.0 * C / (c + 1.0) * (math.sqrt(d) - math.sqrt(c))
     return total / math.pi
 
 
@@ -260,7 +261,5 @@ def gamma_half_via_Cc() -> float:
 
     value, estimate = quad(smooth, 0.0, math.inf, epsabs=1e-10, epsrel=1e-10, limit=200)
     if estimate / math.pi > 1e-6:
-        raise NumericalFailure(
-            f"quadrature error estimate {estimate / math.pi:.3e} exceeds 1e-6"
-        )
+        raise NumericalFailure(f"quadrature error estimate {estimate / math.pi:.3e} exceeds 1e-6")
     return value / math.pi

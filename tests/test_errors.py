@@ -70,6 +70,9 @@ NUMBER_ENTRIES = {
     "GaussianParams": (lambda x: approx.GaussianParams(x, 1.0), DomainViolation),
     "MixtureParams": (lambda x: approx.MixtureParams((x,), (1.0,)), DomainViolation),
     "f1": (approx.f1, DomainViolation),
+    "j_func": (lambda x: approx.j_func(x, GaussianParams(0.9, 0.5)), DomainViolation),
+    "j_prime": (lambda x: approx.j_prime(x, GaussianParams(0.9, 0.5)), DomainViolation),
+    "phi": (lambda x: approx.phi(x, GaussianParams(0.9, 0.5)), DomainViolation),
     "x_star": (approx.x_star, DomainViolation),
     "erf_min_bound": (lambda x: approx.erf_min_bound(x, GaussianParams(0.9, 0.5)), DomainViolation),
     "node_value": (lambda x: approx.node_value(x, 1.0, 1.0), DomainViolation),

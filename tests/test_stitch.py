@@ -2,13 +2,15 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from commbounds.approx import DomainViolation, GaussianParams
+from commbounds import stitch
+from commbounds.approx import BadParameter, DomainViolation, GaussianParams
 from commbounds.formulas import csc1, scaled_cayley_Cc
 from commbounds.optimize import BoundPoint, build_paper_grid, certify_grid, optimize_grid
 from commbounds.stitch import (
@@ -99,6 +101,25 @@ class TestStitch:
         cert = global_constant(points, grid[0], grid[-1])
         uniform = max(constants) * (grid[0] + 0.1 + 1.0) / (grid[0] + 1.0)
         assert max(cert.lifted) <= uniform + 1e-12
+
+    def test_last_upper_end_must_be_finite(self):
+        # The last node lifts to c_n + spacing, which here overflows to inf.
+        with pytest.raises(ArgumentOrder, match=r"^d must satisfy d >= c, got d=inf, c=1\.5e\+308$"):
+            global_constant(flat_points([1.0, 1.5e308]), 1.0, 1.5e308)
+
+    def test_lifts_equal_the_checked_lift(self, monkeypatch):
+        # The certificate lifts its checked nodes through the formula that
+        # continuity_lift checks its arguments for; it calls continuity_lift
+        # only for the last node, whose upper end may overflow.
+        points = certify_grid(build_paper_grid()[::50])
+        cert = StitchedCertificate(tuple(points))
+        cs = [p.c for p in points]
+        uppers = cs[1:] + [cs[-1] + max(v - u for u, v in zip(cs, cs[1:]))]
+        assert cert.lifted == tuple(continuity_lift(p.C_k, p.c, d) for p, d in zip(points, uppers))
+        calls = []
+        monkeypatch.setattr(stitch, "continuity_lift", lambda *args: calls.append(args) or 1.0)
+        StitchedCertificate(tuple(points))
+        assert calls == [(points[-1].C_k, points[-1].c, uppers[-1])]
 
     def test_only_points_is_set(self):
         # The derived fields are computed from the points, never passed in.
@@ -227,6 +248,22 @@ class TestSqrtConstant:
         with pytest.raises(DomainViolation):
             sqrt_constant(points)
         with pytest.raises(DomainViolation):
+            global_constant(points, 0.0195, 40.0)
+
+    @pytest.mark.parametrize(
+        "c, error, message",
+        [
+            (math.nan, DomainViolation, "c must be positive and finite, got nan"),
+            ("1.0", BadParameter, "c must be a real number, got str '1.0'"),
+        ],
+    )
+    def test_rejects_an_interior_c_that_is_not_a_positive_real(self, c, error, message):
+        # The node rule reads every c, so neither entry sums or lifts past it.
+        points = flat_points(build_paper_grid())
+        points[1000] = BoundPoint(c, 1.0, DUMMY)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            sqrt_constant(points)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             global_constant(points, 0.0195, 40.0)
 
 
